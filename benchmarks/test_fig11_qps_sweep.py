@@ -35,5 +35,6 @@ def test_fig11_tail_latency_vs_qps(run_once):
 
     # Tail latency rises with offered load for every workload.
     for (label, caching), sweep in result.curves.items():
-        ordered = sorted(sweep.results, key=lambda r: r.offered_qps)
+        outcomes = (point.outcome for point in sweep.points)
+        ordered = sorted(outcomes, key=lambda outcome: outcome.serving.offered_qps)
         assert ordered[-1].p95_latency >= ordered[0].p95_latency * 0.8

@@ -49,7 +49,10 @@ def main() -> None:
                 )
                 sweep = run_sweep(spec, qps_values)
                 peak = sweep.peak_throughput()
-                busiest = max(sweep.results, key=lambda r: r.offered_qps)
+                busiest = max(
+                    (point.outcome for point in sweep.points),
+                    key=lambda outcome: outcome.serving.offered_qps,
+                )
                 rows.append(
                     {
                         "workload": label,
@@ -57,10 +60,10 @@ def main() -> None:
                         "prefix_caching": caching,
                         "peak_qps": peak,
                         "p95_at_peak_s": busiest.p95_latency,
-                        "kv_avg_gb": busiest.kv_average_bytes / 1e9,
-                        "kv_max_gb": busiest.kv_max_bytes / 1e9,
+                        "kv_avg_gb": busiest.serving.kv_average_bytes / 1e9,
+                        "kv_max_gb": busiest.serving.kv_max_bytes / 1e9,
                         "energy_wh_per_query": busiest.energy_wh_per_query,
-                        "preemptions": busiest.preemptions,
+                        "preemptions": busiest.serving.preemptions,
                     }
                 )
 

@@ -105,6 +105,11 @@ def emit() -> None:
 
 
 def compare() -> int:
+    import numpy
+
+    # Golden numbers sit on numpy's generator streams; name the version so
+    # a drift after an upgrade is attributable at a glance.
+    print(f"numpy {numpy.__version__}, Python {sys.version.split()[0]}")
     outputs = {}
     for seed in HASH_SEEDS:
         env = dict(os.environ)

@@ -15,17 +15,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig, PAPER_AGENTS
 from repro.analysis.reporting import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment, run_sweep
+from repro.api import ArrivalSpec, ExperimentSpec, StudyResult, run_experiment, run_sweep
 from repro.core import (
     CharacterizationResult,
     DesignPoint,
-    SingleRequestRunner,
     best_accuracy_point,
     best_efficiency_point,
     mean,
     percentile,
 )
-from repro.serving import ServingConfig, run_at_qps
 from repro.workloads import AGENTIC_WORKLOADS, create_workload
 
 #: default design-space defaults per benchmark (iteration budget the paper uses).
@@ -47,6 +45,30 @@ def default_config(benchmark: str, **overrides) -> AgentConfig:
         max_expansions=12,
     )
     return base.with_overrides(**overrides) if overrides else base
+
+
+def characterize(
+    agent: str,
+    benchmark: str,
+    num_tasks: int,
+    model: str = "8b",
+    seed: int = 0,
+    config: Optional[AgentConfig] = None,
+    enable_prefix_caching: bool = True,
+    max_decode_chunk: int = 1,
+) -> CharacterizationResult:
+    """Run ``agent`` on ``benchmark`` one request at a time (paper IV-A/IV-B)."""
+    spec = ExperimentSpec(
+        agent=agent,
+        workload=benchmark,
+        model=model,
+        enable_prefix_caching=enable_prefix_caching,
+        agent_config=config or AgentConfig(),
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=seed,
+        max_decode_chunk=max_decode_chunk,
+    )
+    return run_experiment(spec).characterization
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +99,15 @@ def characterization_matrix(
 ) -> CharacterizationMatrix:
     """Run every supported (agent, benchmark) pair one request at a time."""
     matrix = CharacterizationMatrix()
-    runner = SingleRequestRunner(
-        model=model, enable_prefix_caching=enable_prefix_caching, seed=seed
-    )
     for benchmark in benchmarks:
         workload = create_workload(benchmark, seed=seed)
         for agent in agents:
             if not workload.supports_agent(agent):
                 continue
-            matrix.results[(agent, benchmark)] = runner.run(
-                agent, benchmark, config=default_config(benchmark), num_tasks=num_tasks
+            matrix.results[(agent, benchmark)] = characterize(
+                agent, benchmark, num_tasks, model=model, seed=seed,
+                config=default_config(benchmark),
+                enable_prefix_caching=enable_prefix_caching,
             )
     return matrix
 
@@ -253,13 +274,14 @@ def figure7(
     model: str = "8b",
     seed: int = 0,
 ) -> Figure7Result:
-    runner = SingleRequestRunner(model=model, enable_prefix_caching=True, seed=seed)
-    chatbot = runner.run("chatbot", "sharegpt", num_tasks=num_tasks)
-    hotpot = runner.run(
-        "react", "hotpotqa", config=default_config("hotpotqa"), num_tasks=num_tasks
+    chatbot = characterize("chatbot", "sharegpt", num_tasks, model=model, seed=seed)
+    hotpot = characterize(
+        "react", "hotpotqa", num_tasks, model=model, seed=seed,
+        config=default_config("hotpotqa"),
     )
-    webshop = runner.run(
-        "react", "webshop", config=default_config("webshop"), num_tasks=num_tasks
+    webshop = characterize(
+        "react", "webshop", num_tasks, model=model, seed=seed,
+        config=default_config("webshop"),
     )
     return Figure7Result(
         distributions={
@@ -368,19 +390,19 @@ def figure9(
 
 @dataclass
 class Figure11Result:
-    curves: Dict[Tuple[str, bool], "object"]  # (workload label, caching) -> QpsSweepResult
+    curves: Dict[Tuple[str, bool], StudyResult]  # (workload label, caching) -> sweep
 
     def rows(self) -> List[Dict[str, object]]:
         rows = []
         for (label, caching), sweep in sorted(self.curves.items()):
-            for result in sweep.results:
+            for point in sweep.points:
                 rows.append(
                     {
                         "workload": label,
                         "prefix_caching": caching,
-                        "offered_qps": result.offered_qps,
-                        "p95_latency_s": result.p95_latency,
-                        "throughput_qps": result.throughput_qps,
+                        "offered_qps": point.outcome.serving.offered_qps,
+                        "p95_latency_s": point.outcome.p95_latency,
+                        "throughput_qps": point.outcome.throughput_qps,
                     }
                 )
         return rows
@@ -481,15 +503,17 @@ def figure12(
     measurements = {}
     for benchmark, qps in scenarios.items():
         for caching in (True, False):
-            config = ServingConfig(
+            spec = ExperimentSpec(
                 agent="react",
-                benchmark=benchmark,
+                workload=benchmark,
                 model=model,
                 enable_prefix_caching=caching,
                 agent_config=default_config(benchmark),
+                arrival=ArrivalSpec(process="poisson", qps=qps, num_requests=num_requests),
                 seed=seed,
+                max_decode_chunk=4,
             )
-            result = run_at_qps(config, qps, num_requests=num_requests)
+            result = run_experiment(spec).serving
             measurements[(benchmark, caching)] = {
                 "avg_bytes": result.kv_average_bytes,
                 "max_bytes": result.kv_max_bytes,
@@ -540,7 +564,6 @@ def figure13(
         "lats": [{"num_children": 3, "max_expansions": 5}, {}, {"num_children": 8}],
         "llmcompiler": [{"replan_rounds": 2}, {}],
     }
-    runner = SingleRequestRunner(model=model, enable_prefix_caching=True, seed=seed)
     points: Dict[str, List[DesignPoint]] = {}
     for benchmark in benchmarks:
         workload = create_workload(benchmark, seed=seed)
@@ -550,7 +573,9 @@ def figure13(
                 continue
             for index, overrides in enumerate(variants):
                 config = default_config(benchmark, **overrides)
-                result = runner.run(agent, benchmark, config=config, num_tasks=num_tasks)
+                result = characterize(
+                    agent, benchmark, num_tasks, model=model, seed=seed, config=config
+                )
                 bench_points.append(
                     DesignPoint(
                         label=f"{agent}-v{index}",
@@ -622,17 +647,10 @@ def _run_sweep(
     for value in values:
         overrides = dict(base_overrides or {})
         overrides[parameter] = value
-        config = default_config(benchmark, **overrides)
-        spec = ExperimentSpec(
-            agent=agent,
-            workload=benchmark,
-            model=model,
-            enable_prefix_caching=True,
-            agent_config=config,
-            arrival=ArrivalSpec(process="single", num_requests=num_tasks),
-            seed=seed,
+        result = characterize(
+            agent, benchmark, num_tasks, model=model, seed=seed,
+            config=default_config(benchmark, **overrides),
         )
-        result = run_experiment(spec).characterization
         points.append(
             DesignPoint(
                 label=f"{agent}-{parameter}={value}",

@@ -6,12 +6,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.agents import AgentConfig, PAPER_AGENTS, get_agent_class
+from repro.analysis.figures import characterize
 from repro.analysis.reporting import format_table
 from repro.core import (
     CHATGPT_QUERIES_PER_DAY,
     GOOGLE_QUERIES_PER_DAY,
     PowerProjection,
-    SingleRequestRunner,
     project_power,
 )
 from repro.workloads import AGENTIC_WORKLOADS, create_workload
@@ -141,13 +141,10 @@ def table3(
     agent_configs = agent_configs or TABLE3_AGENT_CONFIGS
     result = Table3Result()
     for model in models:
-        runner = SingleRequestRunner(
-            model=model,
-            enable_prefix_caching=True,
-            seed=seed,
+        baseline = characterize(
+            "chatbot", "sharegpt", max(num_tasks, 10), model=model, seed=seed,
             max_decode_chunk=max_decode_chunk,
         )
-        baseline = runner.run("chatbot", "sharegpt", num_tasks=max(num_tasks, 10))
         base_latency = baseline.mean_latency
         base_energy = baseline.mean_energy_wh
         result.rows_data.append(
@@ -162,7 +159,10 @@ def table3(
             )
         )
         for agent, config in agent_configs.items():
-            run = runner.run(agent, "hotpotqa", config=config, num_tasks=num_tasks)
+            run = characterize(
+                agent, "hotpotqa", num_tasks, model=model, seed=seed, config=config,
+                max_decode_chunk=max_decode_chunk,
+            )
             result.rows_data.append(
                 Table3Row(
                     model=model,

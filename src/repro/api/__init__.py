@@ -3,8 +3,10 @@
 Declare *what* to run with a frozen :class:`ExperimentSpec` (model, replica
 count, scheduler and router policies, agent, workload, arrival process, seed,
 measurement window), let :class:`SystemBuilder` own *how* it is assembled,
-and drive it with :func:`run_experiment` / :func:`run_sweep`, which return a
-unified :class:`ResultSet`.
+and drive it with :func:`run_experiment`, which returns a unified
+:class:`ResultSet` whose metrics are declared once in :data:`METRICS`, or
+with :func:`run_study` / :func:`run_sweep`, which return a
+:class:`StudyResult`.
 
 Quickstart::
 
@@ -67,21 +69,11 @@ predicted decode still meets the class SLO, and
 :class:`~repro.serving.planner.FleetPlanner` picks an operating point from a
 hardware-layout study's cost/quality frontier (see
 ``examples/hetero_fleet.py``).
-
-The legacy entry points (``SingleRequestRunner``, ``AgentServer``,
-``run_at_qps``, ``sweep_qps``) remain as thin compatibility shims over this
-layer and reproduce their historical results bit-for-bit (``run_sweep`` is
-a one-axis study).
 """
 
 from repro.api.builder import System, SystemBuilder
-from repro.api.results import ResultSet
-from repro.api.runners import (
-    ServingDriver,
-    compat_serving_config,
-    run_experiment,
-    run_sweep,
-)
+from repro.api.results import METRICS, MetricDef, ResultSet
+from repro.api.runners import ServingDriver, run_experiment, run_sweep
 from repro.api.spec import (
     ARRIVAL_PROCESSES,
     AdmissionSpec,
@@ -117,7 +109,9 @@ __all__ = [
     "FleetPlan",
     "FleetPlanner",
     "HardwareSpec",
+    "METRICS",
     "MeasurementSpec",
+    "MetricDef",
     "ParetoPoint",
     "PoolSpec",
     "ResultSet",
@@ -134,7 +128,6 @@ __all__ = [
     "TenantSpec",
     "WeightedWorkload",
     "apply_axis_value",
-    "compat_serving_config",
     "resolve_metric",
     "run_experiment",
     "run_study",

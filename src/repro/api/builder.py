@@ -1,14 +1,13 @@
 """System assembly: one place that turns a spec into runnable machinery.
 
-:class:`SystemBuilder` owns every wiring decision the legacy entry points
-(``SingleRequestRunner._build``, ``AgentServer.__init__``, ``run_at_qps``)
-used to duplicate: environment creation, replica-pool and cluster
-construction, client binding, workload instantiation (including the weighted
-traffic-class mixture), autoscaler attachment, toolset assembly, and agent
-creation with the experiment-scoped random streams.  The stream namespaces
-intentionally match the legacy ones (``runner/...`` for single-request
-characterization, ``serving/...`` for serving runs) so a one-replica FCFS
-spec reproduces the legacy results bit-for-bit.
+:class:`SystemBuilder` owns every wiring decision: environment creation,
+replica-pool and cluster construction, client binding, workload
+instantiation (including the weighted traffic-class mixture), autoscaler
+attachment, toolset assembly, and agent creation with the
+experiment-scoped random streams.  The stream namespaces (``runner/...``
+for single-request characterization, ``serving/...`` for serving runs) are
+part of the golden-pinned behaviour: renaming one moves every number a
+one-replica FCFS spec reproduces.
 """
 
 from __future__ import annotations

@@ -1,28 +1,39 @@
-"""Unified result interface over characterization and serving outcomes.
+"""Unified result interface and the one table of result metrics.
 
-The legacy entry points returned two unrelated result types --
-:class:`~repro.core.runner.CharacterizationResult` (single-request
-characterization) and :class:`~repro.serving.server.ServingResult` (serving
-runs).  :class:`ResultSet` wraps whichever one an experiment produced and
-exposes the shared metric vocabulary (request counts, latency distribution,
-accuracy, throughput, energy) uniformly, while keeping the wrapped object
-reachable through :attr:`raw` for mode-specific detail (GPU breakdowns,
-KV-memory stats, admission delays, ...).
+:class:`ResultSet` wraps whichever outcome an experiment produced -- a
+:class:`~repro.core.characterization.CharacterizationResult`
+(single-request characterization) or a
+:class:`~repro.serving.result.ServingResult` (serving runs) -- and keeps it
+reachable through :attr:`ResultSet.raw` for mode-specific detail (GPU
+breakdowns, KV-memory stats, admission delays, ...).
+
+Every metric is declared once, in :data:`METRICS`: its name, a one-line
+doc with the unit, an extractor, and a predicate for when it applies.
+``ResultSet`` attributes (``outcome.p95_latency``), :meth:`ResultSet.metric`,
+:meth:`ResultSet.summary` and the study layer's metric names all read that
+table, and ``docs/METRICS.md`` documents it entry for entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.api.spec import ExperimentSpec
-from repro.core.metrics import LatencyStats, mean
-from repro.core.runner import CharacterizationResult
+from repro.core.characterization import CharacterizationResult
+from repro.core.metrics import LatencyStats, mean, percentile
 
 
 @dataclass
 class ResultSet:
-    """Outcome of one :func:`~repro.api.run_experiment` call."""
+    """Outcome of one :func:`~repro.api.run_experiment` call.
+
+    Every name in :data:`METRICS` is an attribute (``outcome.p95_latency``);
+    the structured serving reports (``pool_stats``, ``class_stats``,
+    ``admission_stats``, ``tenant_stats``, ``session_stats``) read through
+    to the wrapped :class:`~repro.serving.result.ServingResult` and are empty
+    (or ``None``) for characterization runs.
+    """
 
     spec: ExperimentSpec
     characterization: Optional[CharacterizationResult] = None
@@ -45,126 +56,17 @@ class ResultSet:
         """The wrapped mode-specific result object."""
         return self.characterization if self.characterization is not None else self.serving
 
-    # -- unified metrics -------------------------------------------------------
-    @property
-    def num_requests(self) -> int:
-        """Requests in the measured window (sessionful runs count turns)."""
-        if self.characterization is not None:
-            return self.characterization.num_requests
-        return self.serving.num_requests
-
-    @property
-    def num_completed(self) -> int:
-        """Requests that ran to completion inside the measured window."""
-        if self.characterization is not None:
-            return self.characterization.num_requests
-        return self.serving.num_completed
-
     @property
     def latencies(self) -> List[float]:
         """Per-request end-to-end latencies (seconds), in completion order."""
-        return self.raw.latencies
+        return [run.e2e_latency for run in _agent_runs(self)]
 
     @property
     def latency_stats(self) -> LatencyStats:
         """Percentile summary (p50/p95/p99/mean) of :attr:`latencies`."""
         return LatencyStats.from_values(self.latencies)
 
-    @property
-    def mean_latency(self) -> float:
-        """Mean end-to-end request latency (seconds)."""
-        return mean(self.latencies)
-
-    @property
-    def p95_latency(self) -> float:
-        """95th-percentile end-to-end request latency (seconds)."""
-        return self.latency_stats.p95
-
-    @property
-    def accuracy(self) -> float:
-        """Task accuracy over completed requests (oracle-graded)."""
-        return self.raw.accuracy
-
-    @property
-    def duration(self) -> float:
-        """Wall-clock (simulated) span of the measured window."""
-        if self.characterization is not None:
-            return sum(self.latencies)
-        return self.serving.duration
-
-    @property
-    def throughput_qps(self) -> float:
-        """Completed requests per simulated second of the measured window."""
-        duration = self.duration
-        if duration <= 0:
-            return 0.0
-        return self.num_completed / duration
-
-    @property
-    def energy_wh(self) -> float:
-        """Engine energy (watt-hours) consumed over the measured window."""
-        if self.characterization is not None:
-            return sum(obs.energy_wh for obs in self.characterization.observations)
-        return self.serving.energy_wh
-
-    @property
-    def energy_wh_per_query(self) -> float:
-        """Energy per completed request (watt-hours)."""
-        if self.num_completed == 0:
-            return 0.0
-        return self.energy_wh / self.num_completed
-
-    # -- fleet metrics ---------------------------------------------------------
-    @property
-    def replica_seconds(self) -> float:
-        """Replica-seconds paid for across every pool (serving runs only)."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.replica_seconds
-
-    # -- hardware cost & energy --------------------------------------------------
-    @property
-    def cost_usd(self) -> float:
-        """USD of replica-seconds, priced per pool's hardware (serving only)."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.cost_usd
-
-    @property
-    def served_tokens(self) -> float:
-        """Prompt + output tokens of the measured requests (serving only)."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.served_tokens
-
-    @property
-    def cost_per_1k_tokens(self) -> float:
-        """USD per 1000 served tokens (0.0 when nothing was served)."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.cost_per_1k_tokens
-
-    @property
-    def energy_j(self) -> float:
-        """Measured-window energy in joules (:attr:`energy_wh` in SI units)."""
-        if self.serving is None:
-            return self.energy_wh * 3600.0
-        return self.serving.energy_j
-
-    @property
-    def pool_stats(self) -> Dict[str, Any]:
-        """Per-pool engine metrics (name -> PoolStats; empty for characterization)."""
-        if self.serving is None:
-            return {}
-        return self.serving.pool_stats
-
-    @property
-    def class_stats(self) -> Dict[str, Any]:
-        """Per-traffic-class request metrics (empty without a workload mixture)."""
-        if self.serving is None:
-            return {}
-        return self.serving.class_stats
-
+    # -- flat rows -------------------------------------------------------------
     def per_pool_summary(self) -> List[Dict[str, Any]]:
         """One flat row per replica pool (throughput, p95, energy, cost)."""
         return [stats.as_dict() for stats in self.pool_stats.values()]
@@ -173,180 +75,24 @@ class ResultSet:
         """One flat row per traffic class of the workload mixture."""
         return [stats.as_dict() for stats in self.class_stats.values()]
 
-    # -- admission control ------------------------------------------------------
-    @property
-    def admission_stats(self) -> Dict[str, Any]:
-        """Per-class door accounting (name -> ClassAdmissionStats; serving only)."""
-        if self.serving is None:
-            return {}
-        return self.serving.admission_stats
-
-    @property
-    def num_rejected(self) -> int:
-        """Requests the admission policy shed instead of serving."""
-        if self.serving is None:
-            return 0
-        return self.serving.num_rejected
-
-    @property
-    def rejection_rate(self) -> float:
-        """Shed fraction of the offered load (0.0 with an open door)."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.rejection_rate
-
-    @property
-    def shed_tokens(self) -> float:
-        """Estimated decode tokens the fleet avoided by shedding requests."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.shed_tokens
-
-    @property
-    def slo_attainment(self) -> Optional[float]:
-        """Fraction of measured requests meeting the experiment-wide p95 SLO."""
-        if self.serving is None:
-            return None
-        return self.serving.slo_attainment
-
-    # -- predictive autoscaling -------------------------------------------------
-    @property
-    def forecast_mae(self) -> Optional[float]:
-        """Mean absolute arrival-rate forecast error (predictive runs only)."""
-        if self.serving is None:
-            return None
-        return self.serving.forecast_mae
-
-    @property
-    def scale_ahead_lead_s(self) -> Optional[float]:
-        """Mean head start of forecast-triggered grows over the reactive trigger."""
-        if self.serving is None:
-            return None
-        return self.serving.scale_ahead_lead_s
-
     def per_class_admission(self) -> List[Dict[str, Any]]:
         """One flat row per traffic class of the door accounting."""
-        if self.serving is None:
-            return []
-        return self.serving.per_class_admission()
-
-    # -- per-tenant fairness ------------------------------------------------------
-    @property
-    def tenant_stats(self) -> Optional[Any]:
-        """Per-tenant fairness accounting (``None`` for untenanted runs)."""
-        if self.serving is None:
-            return None
-        return self.serving.tenant_stats
-
-    @property
-    def served_token_ratio(self) -> Optional[float]:
-        """Served-token max/min ratio across contending tenants (1.0 = fair)."""
-        if self.serving is None:
-            return None
-        return self.serving.served_token_ratio
-
-    @property
-    def jain_fairness(self) -> Optional[float]:
-        """Jain's fairness index over per-tenant served tokens."""
-        if self.serving is None:
-            return None
-        return self.serving.jain_fairness
-
-    @property
-    def tenant_throttle_rate(self) -> Optional[float]:
-        """Door rejection fraction of tenanted offers."""
-        if self.serving is None:
-            return None
-        return self.serving.tenant_throttle_rate
-
-    # -- multi-turn sessions ------------------------------------------------------
-    @property
-    def session_stats(self) -> Optional[Any]:
-        """Multi-turn session accounting (``None`` for sessionless runs)."""
-        if self.serving is None:
-            return None
-        return self.serving.session_stats
-
-    @property
-    def cross_turn_hit_rate(self) -> Optional[float]:
-        """Prefix-cache hit rate over later-turn prompt tokens."""
-        if self.serving is None:
-            return None
-        return self.serving.cross_turn_hit_rate
-
-    @property
-    def num_sessions(self) -> Optional[int]:
-        """Interactions started during the run."""
-        if self.serving is None:
-            return None
-        return self.serving.num_sessions
-
-    @property
-    def completed_sessions(self) -> Optional[int]:
-        """Interactions that finished their final turn."""
-        if self.serving is None:
-            return None
-        return self.serving.completed_sessions
-
-    @property
-    def total_turns(self) -> Optional[int]:
-        """Turns served across every session."""
-        if self.serving is None:
-            return None
-        return self.serving.total_turns
-
-    @property
-    def mean_turns_per_session(self) -> Optional[float]:
-        """Mean turns served per started session."""
-        if self.serving is None:
-            return None
-        return self.serving.mean_turns_per_session
-
-    @property
-    def affinity_invalidations(self) -> Optional[int]:
-        """Sticky-routing re-pins (spills plus homes lost to replica churn)."""
-        if self.serving is None:
-            return None
-        return self.serving.affinity_invalidations
-
-    # -- engine fidelity ----------------------------------------------------------
-    @property
-    def prefill_hol_block_s(self) -> float:
-        """Seconds decodes spent blocked behind atomic prefill steps."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.prefill_hol_block_s
-
-    @property
-    def mean_accepted_per_step(self) -> Optional[float]:
-        """Mean draft tokens accepted per speculative verify (``None`` = off)."""
-        if self.serving is None:
-            return None
-        return self.serving.mean_accepted_per_step
-
-    @property
-    def draft_energy_j(self) -> float:
-        """Joules spent in speculative draft passes (0.0 without speculation)."""
-        if self.serving is None:
-            return 0.0
-        return self.serving.draft_energy_j
+        return [stats.as_dict() for stats in self.admission_stats.values()]
 
     # -- metric vocabulary ------------------------------------------------------
     def metric(self, name: str) -> float:
-        """Resolve a study-metric name on this result.
+        """Resolve a metric name on this result.
 
-        Accepts any :class:`ResultSet` attribute name (``replica_seconds``,
-        ``p95_latency``, ``energy_wh``, ``energy_j``, ``cost_usd``,
-        ``cost_per_1k_tokens``, ``rejection_rate``,
-        ``served_token_ratio``, ``jain_fairness``, ...), the per-class form
-        ``class_<stat>:<label>`` (``class_p95:chat``,
+        Accepts a name from :data:`METRICS` (``replica_seconds``,
+        ``p95_latency``, ``cost_per_1k_tokens``, ``jain_fairness``, ...),
+        the per-class form ``class_<stat>:<label>`` (``class_p95:chat``,
         ``class_attainment:chat``, ``class_rejection:agent``), or the
         per-decile form ``tenant_throttle_decile:<0-9>`` (throttle rate of
         one tenant population decile; decile 0 is the hottest 10% of users)
         -- the same vocabulary
         :meth:`repro.api.study.StudyResult.pareto_frontier` and tabulation
         use, so a metric proven interactively drops straight into a study
-        query.
+        query.  Any other name raises ``ValueError``.
         """
         # Local import: study imports this module at load time.
         from repro.api.study import resolve_metric
@@ -355,44 +101,293 @@ class ResultSet:
 
     # -- reporting -------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:
-        """Flat metric dict, convenient for tables and JSON dumps."""
-        stats = self.latency_stats
-        summary = {
-            "kind": self.kind,
-            "num_requests": self.num_requests,
-            "num_completed": self.num_completed,
-            "mean_latency_s": self.mean_latency,
-            "p50_latency_s": stats.p50,
-            "p95_latency_s": stats.p95,
-            "accuracy": self.accuracy,
-            "throughput_qps": self.throughput_qps,
-            "energy_wh_per_query": self.energy_wh_per_query,
-        }
-        if self.serving is not None:
-            summary["replica_seconds"] = self.replica_seconds
-            summary["cost_usd"] = self.cost_usd
-            summary["cost_per_1k_tokens"] = self.cost_per_1k_tokens
-            summary["energy_j"] = self.energy_j
-            summary["rejection_rate"] = self.rejection_rate
-            if self.slo_attainment is not None:
-                summary["slo_attainment"] = self.slo_attainment
-            if self.forecast_mae is not None:
-                summary["forecast_mae"] = self.forecast_mae
-            if self.scale_ahead_lead_s is not None:
-                summary["scale_ahead_lead_s"] = self.scale_ahead_lead_s
-            if self.tenant_stats is not None:
-                summary["served_token_ratio"] = self.served_token_ratio
-                summary["jain_fairness"] = self.jain_fairness
-                summary["tenant_throttle_rate"] = self.tenant_throttle_rate
-            if self.session_stats is not None:
-                summary["num_sessions"] = self.num_sessions
-                summary["completed_sessions"] = self.completed_sessions
-                summary["total_turns"] = self.total_turns
-                summary["cross_turn_hit_rate"] = self.cross_turn_hit_rate
-                summary["affinity_invalidations"] = self.affinity_invalidations
-            if self.spec.prefill_chunk_tokens is not None:
-                summary["prefill_hol_block_s"] = self.prefill_hol_block_s
-            if self.mean_accepted_per_step is not None:
-                summary["mean_accepted_per_step"] = self.mean_accepted_per_step
-                summary["draft_energy_j"] = self.draft_energy_j
+        """Flat dict of every metric that applies to this run, in table order."""
+        summary: Dict[str, Any] = {"kind": self.kind}
+        for metric in METRICS:
+            if metric.summary_key is not None and metric.applies(self):
+                summary[metric.summary_key or metric.name] = metric.extract(self)
         return summary
+
+
+def _agent_runs(result: ResultSet) -> List[Any]:
+    """The measured requests' agent runs, in completion order."""
+    if result.characterization is not None:
+        return [obs.result for obs in result.characterization.observations]
+    return result.serving.results
+
+
+# ---------------------------------------------------------------------------
+# Structured serving reports
+# ---------------------------------------------------------------------------
+
+#: ResultSet attributes reading through to the ServingResult field of the same
+#: name, with the factory of their characterization-run value.
+_SERVING_REPORTS: Tuple[Tuple[str, Callable[[], Any]], ...] = (
+    ("pool_stats", dict),
+    ("class_stats", dict),
+    ("admission_stats", dict),
+    ("tenant_stats", lambda: None),
+    ("session_stats", lambda: None),
+)
+
+
+def _report_property(name: str, empty: Callable[[], Any]) -> property:
+    def read(result: ResultSet) -> Any:
+        return empty() if result.serving is None else getattr(result.serving, name)
+
+    return property(read, doc=f"``ServingResult.{name}`` (empty for characterization).")
+
+
+for _name, _empty in _SERVING_REPORTS:
+    setattr(ResultSet, _name, _report_property(_name, _empty))
+
+
+# ---------------------------------------------------------------------------
+# The metric table
+# ---------------------------------------------------------------------------
+
+
+def _always(result: ResultSet) -> bool:
+    return True
+
+
+def _serving_run(result: ResultSet) -> bool:
+    return result.serving is not None
+
+
+def _slo_declared(result: ResultSet) -> bool:
+    return result.serving is not None and result.serving.slo_p95_s is not None
+
+
+def _forecasting(result: ResultSet) -> bool:
+    return result.serving is not None and result.serving.forecast_mae is not None
+
+
+def _scaled_ahead(result: ResultSet) -> bool:
+    return result.serving is not None and bool(result.serving.scale_ahead_leads)
+
+
+def _tenanted(result: ResultSet) -> bool:
+    return result.tenant_stats is not None
+
+
+def _sessionful(result: ResultSet) -> bool:
+    return result.session_stats is not None
+
+
+def _chunked_prefill(result: ResultSet) -> bool:
+    """Any pool runs chunked prefill (experiment-wide or per-pool value)."""
+    spec = result.spec
+    return result.serving is not None and (
+        spec.prefill_chunk_tokens is not None
+        or any(pool.prefill_chunk_tokens is not None for pool in spec.pools)
+    )
+
+
+def _speculative(result: ResultSet) -> bool:
+    return result.serving is not None and result.serving.spec_sequence_steps > 0
+
+
+def _serving(read: Callable[[Any], Any], absent: Any = None) -> Callable[[ResultSet], Any]:
+    """Extractor over the ServingResult; ``absent`` on characterization runs."""
+
+    def extract(result: ResultSet) -> Any:
+        return absent if result.serving is None else read(result.serving)
+
+    return extract
+
+
+def _report(name: str, read: Callable[[Any], Any]) -> Callable[[ResultSet], Any]:
+    """Extractor over the ``name`` serving report; ``None`` when the run has none."""
+
+    def extract(result: ResultSet) -> Any:
+        stats = getattr(result, name)
+        return None if stats is None else read(stats)
+
+    return extract
+
+
+def _num_completed(result: ResultSet) -> int:
+    return len(_agent_runs(result))
+
+
+def _duration(result: ResultSet) -> float:
+    if result.characterization is not None:
+        return sum(result.latencies)
+    return result.serving.duration
+
+
+def _energy_wh(result: ResultSet) -> float:
+    if result.characterization is not None:
+        return sum(obs.energy_wh for obs in result.characterization.observations)
+    return result.serving.energy_wh
+
+
+def _accuracy(result: ResultSet) -> float:
+    runs = _agent_runs(result)
+    if not runs:
+        return 0.0
+    return mean([1.0 if run.answer_correct else 0.0 for run in runs])
+
+
+def _throughput_qps(result: ResultSet) -> float:
+    duration = _duration(result)
+    if duration <= 0:
+        return 0.0
+    return _num_completed(result) / duration
+
+
+def _energy_wh_per_query(result: ResultSet) -> float:
+    completed = _num_completed(result)
+    if completed == 0:
+        return 0.0
+    return _energy_wh(result) / completed
+
+
+def _cost_per_1k_tokens(serving: Any) -> float:
+    if serving.served_tokens <= 0:
+        return 0.0
+    return serving.cost_usd / (serving.served_tokens / 1000.0)
+
+
+def _num_rejected(serving: Any) -> int:
+    return sum(stats.rejected for stats in serving.admission_stats.values())
+
+
+def _rejection_rate(serving: Any) -> float:
+    offered = sum(stats.offered for stats in serving.admission_stats.values())
+    if offered == 0:
+        return 0.0
+    return _num_rejected(serving) / offered
+
+
+def _p95_admission_delay(serving: Any) -> float:
+    if not serving.admission_delays:
+        return 0.0
+    return percentile(serving.admission_delays, 95.0)
+
+
+def _mean_accepted_per_step(serving: Any) -> Optional[float]:
+    if serving.spec_sequence_steps == 0:
+        return None
+    return serving.spec_accepted_tokens / serving.spec_sequence_steps
+
+
+def _slo_attainment(serving: Any) -> Optional[float]:
+    if serving.slo_p95_s is None:
+        return None
+    if not serving.results:
+        return 0.0
+    return mean(
+        [1.0 if run.e2e_latency <= serving.slo_p95_s else 0.0 for run in serving.results]
+    )
+
+
+@dataclass(frozen=True)
+class MetricDef:
+    """One result metric, declared once.
+
+    ``extract`` computes the value on any run; runs a metric has nothing to
+    say about get its neutral value (``0``/``0.0``, or ``None`` for
+    telemetry a feature never produced).  ``applies`` says when
+    :meth:`ResultSet.summary` reports the metric, under ``summary_key``
+    (``""`` = the metric's name, ``None`` = never reported there).
+    """
+
+    name: str
+    doc: str
+    extract: Callable[[ResultSet], Any]
+    applies: Callable[[ResultSet], bool] = _always
+    summary_key: Optional[str] = ""
+
+
+#: Every result metric, in summary order.
+METRICS: Tuple[MetricDef, ...] = (
+    # -- core (every run) ----------------------------------------------------
+    MetricDef("num_requests", "requests in the measured window (count; sessions count turns)",
+              lambda r: r.raw.num_requests),
+    MetricDef("num_completed", "requests that finished in the measured window (count)",
+              _num_completed),
+    MetricDef("mean_latency", "mean end-to-end request latency (s)",
+              lambda r: mean(r.latencies), summary_key="mean_latency_s"),
+    MetricDef("p50_latency", "median end-to-end request latency (s)",
+              lambda r: r.latency_stats.p50, summary_key="p50_latency_s"),
+    MetricDef("p95_latency", "p95 end-to-end request latency (s)",
+              lambda r: r.latency_stats.p95, summary_key="p95_latency_s"),
+    MetricDef("accuracy", "task accuracy over completed requests (fraction)", _accuracy),
+    MetricDef("duration", "simulated span of the measured window (s)",
+              _duration, summary_key=None),
+    MetricDef("throughput_qps", "completed requests per simulated second (req/s)",
+              _throughput_qps),
+    MetricDef("energy_wh", "engine energy over the measured window (Wh)",
+              _energy_wh, summary_key=None),
+    MetricDef("energy_wh_per_query", "energy per completed request (Wh)",
+              _energy_wh_per_query),
+    # -- fleet, hardware cost and energy (serving runs) ------------------------
+    MetricDef("replica_seconds", "replica-seconds paid for across every pool (s)",
+              _serving(lambda s: s.replica_seconds, 0.0), _serving_run),
+    MetricDef("cost_usd", "replica-seconds priced per pool's hardware, summed (USD)",
+              _serving(lambda s: s.cost_usd, 0.0), _serving_run),
+    MetricDef("served_tokens", "prompt + output tokens of the measured requests (tokens)",
+              _serving(lambda s: s.served_tokens, 0.0), summary_key=None),
+    MetricDef("cost_per_1k_tokens", "cost_usd per 1000 served tokens (USD)",
+              _serving(_cost_per_1k_tokens, 0.0), _serving_run),
+    MetricDef("energy_j", "energy_wh in joules (J; characterization runs too)",
+              lambda r: _energy_wh(r) * 3600.0, _serving_run),
+    # -- admission door ----------------------------------------------------------
+    MetricDef("num_rejected", "requests the door shed (count)",
+              _serving(_num_rejected, 0), summary_key=None),
+    MetricDef("rejection_rate", "shed fraction of the offered load (fraction)",
+              _serving(_rejection_rate, 0.0), _serving_run),
+    MetricDef("shed_tokens", "estimated decode tokens avoided by shedding (tokens)",
+              _serving(lambda s: sum(st.shed_tokens for st in s.admission_stats.values()), 0.0),
+              summary_key=None),
+    MetricDef("num_queued", "requests that waited at the door for a slot (count)",
+              _serving(lambda s: sum(1 for delay in s.admission_delays if delay > 0), 0),
+              summary_key=None),
+    MetricDef("mean_admission_delay", "mean arrival-to-admission delay (s)",
+              _serving(lambda s: mean(s.admission_delays), 0.0), summary_key=None),
+    MetricDef("p95_admission_delay", "p95 arrival-to-admission delay (s)",
+              _serving(_p95_admission_delay, 0.0), summary_key=None),
+    MetricDef("slo_attainment", "fraction of requests meeting the experiment-wide p95 SLO",
+              _serving(_slo_attainment), _slo_declared),
+    # -- predictive autoscaling ----------------------------------------------------
+    MetricDef("forecast_mae", "mean absolute arrival-rate forecast error (req/s)",
+              _serving(lambda s: s.forecast_mae), _forecasting),
+    MetricDef("scale_ahead_lead_s", "mean head start of forecast-triggered grows (s)",
+              _serving(lambda s: mean(s.scale_ahead_leads) if s.scale_ahead_leads else None),
+              _scaled_ahead),
+    # -- multi-tenant fairness -------------------------------------------------------
+    MetricDef("served_token_ratio", "max/min served tokens across contending tenants (1.0 = fair)",
+              _report("tenant_stats", lambda t: t.max_min_ratio), _tenanted),
+    MetricDef("jain_fairness", "Jain's index over per-tenant served tokens (1.0 = fair)",
+              _report("tenant_stats", lambda t: t.jain), _tenanted),
+    MetricDef("tenant_throttle_rate", "door rejection fraction of tenanted offers (fraction)",
+              _report("tenant_stats", lambda t: t.throttle_rate), _tenanted),
+    # -- multi-turn sessions -----------------------------------------------------------
+    MetricDef("num_sessions", "interactions started (count)",
+              _report("session_stats", lambda s: s.num_sessions), _sessionful),
+    MetricDef("completed_sessions", "interactions that finished their final turn (count)",
+              _report("session_stats", lambda s: s.completed_sessions), _sessionful),
+    MetricDef("total_turns", "turns served across every session (count)",
+              _report("session_stats", lambda s: s.total_turns), _sessionful),
+    MetricDef("mean_turns_per_session", "turns served per started session (count)",
+              _report("session_stats", lambda s: s.mean_turns_per_session), summary_key=None),
+    MetricDef("cross_turn_hit_rate", "prefix-cache hit rate over later-turn prompts (fraction)",
+              _report("session_stats", lambda s: s.cross_turn_hit_rate), _sessionful),
+    MetricDef("affinity_invalidations", "sticky-routing re-pins: spills + homes lost (count)",
+              _report("session_stats", lambda s: s.affinity_invalidations), _sessionful),
+    # -- engine fidelity -----------------------------------------------------------------
+    MetricDef("prefill_hol_block_s", "decode time blocked behind atomic prefill steps (s)",
+              _serving(lambda s: s.prefill_hol_block_s, 0.0), _chunked_prefill),
+    MetricDef("mean_accepted_per_step", "draft tokens accepted per speculative verify (tokens)",
+              _serving(_mean_accepted_per_step), _speculative),
+    MetricDef("draft_energy_j", "energy booked under the draft power state (J)",
+              _serving(lambda s: s.draft_energy_j, 0.0), _speculative),
+)
+
+#: The table by metric name.
+METRICS_BY_NAME: Dict[str, MetricDef] = {metric.name: metric for metric in METRICS}
+
+for _metric in METRICS:
+    setattr(ResultSet, _metric.name, property(_metric.extract, doc=_metric.doc))

@@ -8,20 +8,19 @@ the spec's arrival process:
 * ``poisson`` / ``uniform`` -> open-loop serving (paper IV-C, Fig. 10/11),
 * ``sequential`` -> closed-loop sequential serving baseline.
 
-``run_sweep`` repeats an open-loop experiment across offered loads and
-returns the tail-latency-vs-QPS curve (paper Fig. 11).
+``run_sweep`` repeats an open-loop experiment across offered loads as a
+one-axis study, whose :meth:`~repro.api.study.StudyResult.peak_throughput`
+reads the tail-latency-vs-QPS knee (paper Fig. 11).
 
-The legacy entry points (``SingleRequestRunner``, ``AgentServer``,
-``run_at_qps``, ``sweep_qps``) are compatibility shims over these loops; the
-loops preserve the legacy random-stream labelling (including the historical
-worker-numbering behaviour) so one-replica FCFS specs reproduce legacy
-results bit-for-bit.
+The loops keep the simulator's original random-stream labelling (including
+its worker numbering), so one-replica FCFS specs reproduce the golden
+numbers pinned in ``tests/test_api_equivalence.py`` bit-for-bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.agents import AgentRunResult
 from repro.api.builder import System, SystemBuilder
@@ -34,7 +33,7 @@ from repro.core.metrics import (
     mean,
     percentile,
 )
-from repro.core.runner import CharacterizationResult, RequestObservation
+from repro.core.characterization import CharacterizationResult, RequestObservation
 from repro.llm.energy import PowerState
 from repro.llm.tokenizer import SegmentKind
 from repro.serving.cluster import ReplicaPool
@@ -46,27 +45,15 @@ from repro.serving.loadgen import (
     shaped_plan,
     uniform_plan,
 )
+from repro.serving.result import ServingResult
 from repro.serving.sessions import SessionSpec, SessionState, SessionStats
 from repro.serving.shapes import ConstantShape
-from repro.serving.server import ServingConfig, ServingResult
-from repro.serving.sweep import QpsSweepResult
 from repro.serving.tenants import Tenant, tenant_fairness
 from repro.sim import RandomStream
 from repro.workloads.base import Task
 
-
-def compat_serving_config(spec: ExperimentSpec) -> ServingConfig:
-    """Legacy :class:`ServingConfig` equivalent of ``spec`` (for result objects)."""
-    return ServingConfig(
-        agent=spec.agent,
-        benchmark=spec.workload,
-        model=spec.model,
-        enable_prefix_caching=spec.enable_prefix_caching,
-        agent_config=spec.agent_config,
-        seed=spec.seed,
-        max_decode_chunk=spec.max_decode_chunk,
-        max_concurrency=spec.max_concurrency,
-    )
+if TYPE_CHECKING:  # repro.api.study imports this module's run_experiment
+    from repro.api.study import StudyResult
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +129,8 @@ class ServingDriver:
     or at the policy's requested retry time, e.g. a token-bucket refill), and
     rejected requests are shed with per-class and per-pool accounting.  With
     no admission spec and no ``max_concurrency`` the controller is the open
-    door and the driver is event-for-event identical to the legacy
-    ``AgentServer`` loop; with ``max_concurrency`` set it reproduces the
-    historical enforced gate bit-for-bit.
+    door; ``max_concurrency`` alone is the ``concurrency`` policy's global
+    in-flight gate.
     """
 
     def __init__(self, system: System):
@@ -689,7 +675,6 @@ class ServingDriver:
             for result in measured
         )
         return ServingResult(
-            config=compat_serving_config(self.spec),
             offered_qps=offered_qps,
             num_requests=measured_requests,
             results=measured,
@@ -936,23 +921,25 @@ def run_experiment(
     return ResultSet(spec=spec, serving=serving)
 
 
-def run_sweep(spec: ExperimentSpec, qps_values: Sequence[float]) -> QpsSweepResult:
+def run_sweep(spec: ExperimentSpec, qps_values: Sequence[float]) -> StudyResult:
     """Run ``spec`` across several offered loads (fresh system per load).
 
-    Compatibility shim over a one-axis :class:`~repro.api.study.StudySpec`:
-    the ``qps`` axis applies :meth:`ExperimentSpec.at_qps` per point exactly
-    like the historical loop, so the returned sweep is bit-for-bit the
-    legacy result.  Reach for :func:`~repro.api.study.run_study` directly to
-    sweep anything beyond offered load.
+    A one-axis :class:`~repro.api.study.StudySpec`: the ``qps`` axis applies
+    :meth:`ExperimentSpec.at_qps` per point, and the returned
+    :class:`~repro.api.study.StudyResult` has one point per load (none for
+    an empty ``qps_values``) and reads the knee with
+    :meth:`~repro.api.study.StudyResult.peak_throughput`.  Reach for
+    :func:`~repro.api.study.run_study` directly to sweep anything beyond
+    offered load.
     """
-    from repro.api.study import StudyAxis, StudySpec, run_study
+    from repro.api.study import StudyAxis, StudyResult, StudySpec, run_study
 
     if not qps_values:
-        # The historical loop ran zero times; a study axis needs values.
-        return QpsSweepResult(config=compat_serving_config(spec))
+        # A study axis needs values; no loads runs no experiment.
+        return StudyResult(study=StudySpec(base=spec, points=({},), name="qps-sweep"))
     study = StudySpec(
         base=spec,
         axes=(StudyAxis(name="qps", values=tuple(qps_values)),),
         name="qps-sweep",
     )
-    return run_study(study).as_qps_sweep()
+    return run_study(study)

@@ -628,10 +628,11 @@ class ExperimentSpec:
     """One experiment, fully described.
 
     ``ExperimentSpec(replicas=1, scheduler="fcfs")`` driven through
-    :func:`repro.api.run_experiment` reproduces the legacy
-    ``SingleRequestRunner`` / ``run_at_qps`` results bit-for-bit at the same
-    seed; raising ``replicas`` and switching ``scheduler`` / ``router``
-    policies explores the multi-replica design space on the same workloads.
+    :func:`repro.api.run_experiment` is the paper's single-engine setup:
+    a ``single`` arrival process characterises one request at a time, an
+    open-loop process serves a Poisson or uniform load.  Raising
+    ``replicas`` and switching ``scheduler`` / ``router`` policies explores
+    the multi-replica design space on the same workloads.
     """
 
     agent: str = "react"

@@ -12,18 +12,19 @@ and :func:`run_study` expands the Cartesian grid (or an explicit
 :meth:`~StudyResult.pareto_frontier` queries (e.g. replica-seconds vs
 per-class p95 -- the fleet-sizing study).
 
-``run_sweep`` is a one-axis study in disguise: the ``qps`` axis is
-shorthand for :meth:`ExperimentSpec.at_qps`, and
-:meth:`StudyResult.as_qps_sweep` rebuilds the legacy
-:class:`~repro.serving.sweep.QpsSweepResult` bit-for-bit.
+``run_sweep`` is a one-axis study: the ``qps`` axis is shorthand for
+:meth:`ExperimentSpec.at_qps`, and :meth:`StudyResult.peak_throughput`
+reads the sustainable load off the resulting tail-latency curve (paper
+Fig. 11).
 
 Metrics (for tabulation and Pareto queries) are either callables on the
 point's :class:`~repro.api.results.ResultSet` or metric-name strings:
-any ``ResultSet`` attribute (``replica_seconds``, ``p95_latency``,
-``energy_wh``, ``rejection_rate``, ``served_token_ratio``,
-``jain_fairness``, ...), a per-class form ``class_<stat>:<label>``
-(``class_p95:chat``, ``class_attainment:chat``, ``class_rejection:agent``,
-``class_mean:...``, ``class_throughput:...``), or the per-decile form
+a name from :data:`~repro.api.results.METRICS` (``replica_seconds``,
+``p95_latency``, ``energy_wh``, ``rejection_rate``,
+``served_token_ratio``, ``jain_fairness``, ...), a per-class form
+``class_<stat>:<label>`` (``class_p95:chat``, ``class_attainment:chat``,
+``class_rejection:agent``, ``class_mean:...``, ``class_throughput:...``),
+or the per-decile form
 ``tenant_throttle_decile:<0-9>`` (throttle rate of one tenant population
 decile; decile 0 holds the hottest users).
 """
@@ -35,7 +36,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.agents import AgentConfig
-from repro.api.results import ResultSet
+from repro.api.results import METRICS_BY_NAME, ResultSet
 from repro.api.spec import (
     AdmissionSpec,
     ArrivalSpec,
@@ -51,9 +52,15 @@ from repro.serving.sessions import SessionSpec
 from repro.serving.shapes import RateShape, shape_from_dict
 from repro.serving.tenants import TenantSpec
 
-#: A metric: a ResultSet attribute name / class_<stat>:<label> string, or a
-#: callable extracting a float from the point's ResultSet.
+#: A metric: a METRICS name / class_<stat>:<label> string, or a callable
+#: extracting a float from the point's ResultSet.
 Metric = Union[str, Callable[[Any], float]]
+
+#: Baseline p95 latencies at or below this are treated as "no signal" when
+#: deriving the peak-throughput knee (a degenerate baseline would otherwise
+#: collapse the threshold to zero and report no sustainable throughput on
+#: healthy runs).
+_BASELINE_EPSILON = 1e-9
 
 _CLASS_METRIC_ATTRS: Dict[str, str] = {
     "class_p95": "p95_latency_s",
@@ -120,8 +127,8 @@ def resolve_metric(
                 )
             value = getattr(stats, attr)
         else:
-            if not hasattr(outcome, metric):
-                raise ValueError(f"outcome has no metric {metric!r}")
+            if metric not in METRICS_BY_NAME:
+                raise ValueError(f"no metric {metric!r}; known: {list(METRICS_BY_NAME)}")
             value = getattr(outcome, metric)
     else:
         raise ValueError(f"metric must be a name or callable, got {metric!r}")
@@ -154,9 +161,9 @@ class StudyAxis:
     ``field`` is the dotted spec path the values replace (defaults to
     ``name``); the special path ``qps`` applies
     :meth:`ExperimentSpec.at_qps` so sweeping load also switches
-    characterization specs to open-loop Poisson arrivals, exactly like the
-    legacy sweep.  ``labels`` (optional, same length as ``values``) are the
-    display names used in tables and slices.
+    characterization specs to open-loop Poisson arrivals.  ``labels``
+    (optional, same length as ``values``) are the display names used in
+    tables and slices.
     """
 
     name: str
@@ -581,18 +588,52 @@ class StudyResult:
         ]
         return sorted(frontier, key=lambda entry: (cost_sign * entry.cost, entry.quality))
 
-    # -- legacy bridge ---------------------------------------------------------
-    def as_qps_sweep(self) -> Any:
-        """Rebuild the legacy :class:`QpsSweepResult` from a one-axis qps study."""
-        from repro.api.runners import compat_serving_config
-        from repro.serving.sweep import QpsSweepResult
+    # -- offered-load sweeps ----------------------------------------------------
+    def peak_throughput(
+        self,
+        latency_slo_s: Optional[float] = None,
+        knee_factor: float = 3.0,
+    ) -> float:
+        """Maximum sustainable QPS at the knee of the tail-latency curve.
 
-        sweep = QpsSweepResult(config=compat_serving_config(self.study.base))
-        for point in self.points:
-            if point.outcome.serving is None:
-                raise ValueError("as_qps_sweep needs serving outcomes")
-            sweep.results.append(point.outcome.serving)
-        return sweep
+        The knee is the largest measured throughput among the points whose
+        p95 latency stays below ``knee_factor`` times the lowest-load p95
+        (or below an absolute SLO if one is given) and that completed at
+        least 95% of their requests.  This mirrors how the paper reads peak
+        throughput off its Fig. 11 curves; the points are ordered by their
+        offered load, so it needs serving outcomes.
+
+        A zero (or numerically negligible) lowest-load p95 carries no signal
+        about saturation, so the baseline falls back to the smallest positive
+        p95 in the sweep; if every point is at zero latency the threshold is
+        unbounded and any sufficiently completed point counts.
+        """
+        outcomes = [point.outcome for point in self.points]
+        if any(outcome.serving is None for outcome in outcomes):
+            raise ValueError("peak_throughput needs serving outcomes")
+        if not outcomes:
+            return 0.0
+        ordered = sorted(outcomes, key=lambda outcome: outcome.serving.offered_qps)
+        if latency_slo_s is not None:
+            threshold = latency_slo_s
+        else:
+            baseline = ordered[0].p95_latency
+            if baseline <= _BASELINE_EPSILON:
+                positive = [
+                    outcome.p95_latency
+                    for outcome in ordered
+                    if outcome.p95_latency > _BASELINE_EPSILON
+                ]
+                baseline = min(positive) if positive else float("inf")
+            threshold = baseline * knee_factor
+        peak = 0.0
+        for outcome in ordered:
+            if (
+                outcome.p95_latency <= threshold
+                and outcome.num_completed >= outcome.num_requests * 0.95
+            ):
+                peak = max(peak, outcome.throughput_qps)
+        return peak
 
 
 def _run_study_point(payload: Tuple[StudySpec, int]) -> ResultSet:
@@ -621,8 +662,9 @@ def run_study(
     Points run in :meth:`StudySpec.expand` order; each builds its spec
     (base + axis overrides + per-point seed) and drives it through
     :func:`~repro.api.runners.run_experiment`, so a one-point study is
-    exactly one experiment and a one-axis qps study is exactly the legacy
-    sweep.  ``progress`` (optional) is called after each completed point.
+    exactly one experiment and a one-axis qps study is exactly
+    :func:`~repro.api.runners.run_sweep`.  ``progress`` (optional) is
+    called after each completed point.
 
     ``parallel=N`` fans the points out over a ``ProcessPoolExecutor`` with
     ``N`` workers.  Points are independent (fresh simulation, per-point

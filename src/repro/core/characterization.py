@@ -1,22 +1,18 @@
-"""Single-request characterization runner (paper Section IV-A/IV-B setup).
+"""Single-request characterization results (paper Section IV-A/IV-B setup).
 
-The paper first characterises agents while serving one request at a time: the
-runner reproduces that setup by running the sampled tasks sequentially
-through the chosen agent and recording, for every request, the agent trace
-plus the engine-side observations over the request's time window (GPU runtime
-breakdown, KV-cache memory, energy).
-
-:class:`SingleRequestRunner` is a compatibility shim over the unified
-experiment API (:mod:`repro.api`): it translates its arguments into an
-``ExperimentSpec`` with a ``single`` arrival process and delegates assembly
-and the measurement loop to ``run_experiment``, reproducing the historical
-results bit-for-bit at the same seed.
+The paper first characterises agents while serving one request at a time.
+An :class:`~repro.api.spec.ExperimentSpec` with a ``single`` arrival process
+reproduces that setup: :func:`repro.api.run_experiment` runs the sampled
+tasks sequentially through the chosen agent and records, for every request,
+the agent trace plus the engine-side observations over the request's time
+window (GPU runtime breakdown, KV-cache memory, energy) in a
+:class:`CharacterizationResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.agents import AgentConfig, AgentRunResult
 from repro.core.metrics import (
@@ -27,7 +23,6 @@ from repro.core.metrics import (
     mean,
 )
 from repro.llm.energy import PowerState
-from repro.workloads.base import Task
 
 
 @dataclass(frozen=True)
@@ -147,47 +142,3 @@ class CharacterizationResult:
 
     def gpu_breakdown(self) -> GpuRuntimeBreakdown:
         return GpuRuntimeBreakdown.average(obs.gpu for obs in self.observations)
-
-
-class SingleRequestRunner:
-    """Runs (agent, benchmark, config) experiments one request at a time.
-
-    Compatibility shim over :func:`repro.api.run_experiment`.
-    """
-
-    def __init__(
-        self,
-        model: str = "8b",
-        enable_prefix_caching: bool = True,
-        seed: int = 0,
-        max_decode_chunk: int = 1,
-    ):
-        self.model_name = model
-        self.enable_prefix_caching = enable_prefix_caching
-        self.seed = seed
-        self.max_decode_chunk = max_decode_chunk
-
-    # -- experiment -----------------------------------------------------------------
-    def run(
-        self,
-        agent_name: str,
-        benchmark: str,
-        config: Optional[AgentConfig] = None,
-        num_tasks: int = 20,
-        tasks: Optional[List[Task]] = None,
-    ) -> CharacterizationResult:
-        """Characterise ``agent_name`` on ``benchmark`` over ``num_tasks`` requests."""
-        from repro.api.runners import run_experiment
-        from repro.api.spec import ArrivalSpec, ExperimentSpec
-
-        spec = ExperimentSpec(
-            agent=agent_name,
-            workload=benchmark,
-            model=self.model_name,
-            enable_prefix_caching=self.enable_prefix_caching,
-            agent_config=config or AgentConfig(),
-            arrival=ArrivalSpec(process="single", num_requests=num_tasks),
-            seed=self.seed,
-            max_decode_chunk=self.max_decode_chunk,
-        )
-        return run_experiment(spec, tasks=tasks).characterization

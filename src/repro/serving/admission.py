@@ -1,7 +1,7 @@
 """SLO-aware admission control: pluggable door policies for the serving fleet.
 
-Admission control generalises the historical ``ServingConfig.max_concurrency``
-door gate into a policy registry.  A policy sees every request the moment it
+Admission control generalises the ``ExperimentSpec.max_concurrency`` door
+gate into a policy registry.  A policy sees every request the moment it
 arrives at the serving system -- *before* any work is enqueued on a replica
 pool -- and answers with one of three decisions:
 
@@ -238,10 +238,9 @@ class UnlimitedAdmission(AdmissionPolicy):
 class ConcurrencyAdmission(AdmissionPolicy):
     """At most ``max_concurrency`` in-flight requests; excess wait at the door.
 
-    Event-for-event identical to the historical enforced
-    ``ServingConfig.max_concurrency`` gate: arrivals beyond the cap join a
-    FIFO door queue and are admitted, oldest first, as completions free
-    slots.
+    The gate ``ExperimentSpec.max_concurrency`` declares: arrivals beyond
+    the cap join a FIFO door queue and are admitted, oldest first, as
+    completions free slots.
     """
 
     name = "concurrency"

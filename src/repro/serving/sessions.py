@@ -18,7 +18,7 @@ introduces the session vocabulary (grounded in fairserve's
   registered when the previous turn's KV blocks were freed), and per-turn
   accounting.
 * :class:`SessionStats` -- the aggregate report attached to
-  :class:`~repro.serving.server.ServingResult`: session/turn counts and the
+  :class:`~repro.serving.result.ServingResult`: session/turn counts and the
   cross-turn prefix-cache hit rate (cached prompt tokens on turns >= 2
   divided by prompt tokens offered on turns >= 2 -- the fraction of
   conversation re-prefill the cache absorbed).

@@ -65,36 +65,34 @@ class TestConcurrencyGoldenPin:
         "energy_wh",
         "throughput_qps",
         "duration",
-        "kv_average_bytes",
-        "preemptions",
-        "prefix_cache_hit_rate",
         "num_queued",
         "mean_admission_delay",
         "p95_admission_delay",
     )
+    SERVING_FIELDS = ("kv_average_bytes", "preemptions", "prefix_cache_hit_rate")
 
     def test_registry_gate_is_bit_for_bit_identical(self):
-        legacy = run_experiment(agent_spec(max_concurrency=2)).serving
+        legacy = run_experiment(agent_spec(max_concurrency=2))
         registry = run_experiment(
             agent_spec(admission=AdmissionSpec(policy="concurrency", max_concurrency=2))
-        ).serving
+        )
         for metric in self.METRICS:
             assert getattr(registry, metric) == getattr(legacy, metric), metric
+        for name in self.SERVING_FIELDS:
+            assert getattr(registry.serving, name) == getattr(legacy.serving, name), name
         assert registry.latencies == legacy.latencies
-        assert registry.admission_delays == legacy.admission_delays
+        assert registry.serving.admission_delays == legacy.serving.admission_delays
         assert legacy.num_queued > 0  # the gate actually engaged
 
     def test_string_shorthand_inherits_spec_cap(self):
-        legacy = run_experiment(agent_spec(max_concurrency=2)).serving
-        shorthand = run_experiment(
-            agent_spec(max_concurrency=2, admission="concurrency")
-        ).serving
+        legacy = run_experiment(agent_spec(max_concurrency=2))
+        shorthand = run_experiment(agent_spec(max_concurrency=2, admission="concurrency"))
         assert shorthand.latencies == legacy.latencies
-        assert shorthand.admission_delays == legacy.admission_delays
+        assert shorthand.serving.admission_delays == legacy.serving.admission_delays
 
     def test_unlimited_policy_matches_open_door(self):
-        open_door = run_experiment(agent_spec()).serving
-        unlimited = run_experiment(agent_spec(admission="unlimited")).serving
+        open_door = run_experiment(agent_spec())
+        unlimited = run_experiment(agent_spec(admission="unlimited"))
         assert unlimited.latencies == open_door.latencies
         assert unlimited.num_rejected == 0
         assert unlimited.rejection_rate == 0.0
@@ -150,10 +148,10 @@ class TestTokenBucketRefill:
             ),
             admission=AdmissionSpec(policy="token-bucket", rate_qps=0.5, burst=1),
         )
-        result = run_experiment(spec).serving
+        result = run_experiment(spec)
         assert result.num_completed == 4
         assert result.num_rejected == 0
-        delays = sorted(result.admission_delays)
+        delays = sorted(result.serving.admission_delays)
         assert delays[0] == 0.0  # the burst token
         # Admissions are refill-spaced exactly 1/rate = 2s apart while the
         # arrivals land 1/qps = 0.125s apart, so the k-th queued request
@@ -379,9 +377,9 @@ class TestWarmupValidation:
             )
 
     def test_serve_rejects_plans_shorter_than_warmup(self):
-        # The legacy AgentServer.serve(plan) path takes arbitrary plans that
-        # bypass spec-level validation; the driver must refuse rather than
-        # silently measure an empty window.
+        # ServingDriver.serve(plan) takes arbitrary plans that bypass
+        # spec-level validation; it must refuse rather than silently
+        # measure an empty window.
         from repro.api import SystemBuilder, ServingDriver
         from repro.serving.loadgen import poisson_plan
 

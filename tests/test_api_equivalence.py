@@ -1,10 +1,11 @@
-"""The new API must reproduce the seed entry points bit-for-bit.
+"""The spec path must reproduce the seed simulator's numbers bit-for-bit.
 
 The golden values below were captured by running the pre-redesign
-``SingleRequestRunner`` / ``run_at_qps`` implementations (commit ``c26818c``)
-at the exact configurations used here.  Every metric is asserted with zero
-tolerance: one replica under FCFS scheduling through the unified API must be
-event-for-event identical to the legacy hand-rolled wiring.
+single-request characterization and fixed-QPS serving entry points (commit
+``c26818c``) at the exact configurations used here.  Every metric is
+asserted with zero tolerance: one replica under FCFS scheduling through
+``run_experiment`` must be event-for-event identical to the seed's
+hand-rolled wiring.
 """
 
 from __future__ import annotations
@@ -13,12 +14,18 @@ import pytest
 
 from repro.agents import AgentConfig
 from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
-from repro.core import SingleRequestRunner
-from repro.serving import ServingConfig, run_at_qps
+from repro.api.results import METRICS_BY_NAME
+
+
+def check_golden(outcome, golden) -> None:
+    """Assert ``golden`` exactly: metrics on the ResultSet, fields on its ServingResult."""
+    for name, expected in golden.items():
+        source = outcome if name in METRICS_BY_NAME else outcome.serving
+        assert getattr(source, name) == expected, name
 
 
 class TestCharacterizationGolden:
-    """SingleRequestRunner(model="8b", seed=1).run("react", "hotpotqa", num_tasks=3)."""
+    """react/hotpotqa characterised one request at a time: 3 tasks, 8b, seed 1."""
 
     GOLDEN = {
         "mean_latency": 16.668997844782456,
@@ -31,10 +38,6 @@ class TestCharacterizationGolden:
     def _check(self, result):
         for metric, expected in self.GOLDEN.items():
             assert getattr(result, metric) == expected, metric
-
-    def test_legacy_shim_matches_seed(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
-        self._check(runner.run("react", "hotpotqa", num_tasks=3))
 
     def test_spec_through_new_api_matches_seed(self):
         spec = ExperimentSpec(
@@ -54,7 +57,7 @@ class TestCharacterizationGolden:
 
 
 class TestServingGolden:
-    """run_at_qps(react/hotpotqa, qps=1.0, 10 requests, pool 8, seed 0)."""
+    """react/hotpotqa served at 1 qps: 10 Poisson requests, pool 8, seed 0."""
 
     GOLDEN = {
         "mean_latency": 10.870826106902523,
@@ -71,16 +74,6 @@ class TestServingGolden:
         "prefix_cache_hit_rate": 0.9135721327637201,
     }
 
-    def _config(self) -> ServingConfig:
-        return ServingConfig(
-            agent="react",
-            benchmark="hotpotqa",
-            model="8b",
-            agent_config=AgentConfig(max_iterations=5),
-            max_decode_chunk=8,
-            seed=0,
-        )
-
     def _spec(self) -> ExperimentSpec:
         return ExperimentSpec(
             agent="react",
@@ -94,29 +87,21 @@ class TestServingGolden:
             max_decode_chunk=8,
         )
 
-    def _check(self, result):
-        for metric, expected in self.GOLDEN.items():
-            assert getattr(result, metric) == expected, metric
-
-    def test_legacy_shim_matches_seed(self):
-        self._check(run_at_qps(self._config(), qps=1.0, num_requests=10, task_pool_size=8))
-
     def test_spec_through_new_api_matches_seed(self):
         outcome = run_experiment(self._spec())
-        self._check(outcome.serving)
+        check_golden(outcome, self.GOLDEN)
         assert outcome.throughput_qps == self.GOLDEN["throughput_qps"]
 
-    def test_shim_and_api_produce_identical_distributions(self):
-        shim = run_at_qps(self._config(), qps=1.0, num_requests=10, task_pool_size=8)
-        api = run_experiment(self._spec()).serving
-        assert shim.latencies == api.latencies
-        assert shim.config == api.config
-
     def test_chatbot_serving_golden(self):
-        config = ServingConfig(
-            agent="chatbot", benchmark="sharegpt", model="8b", max_decode_chunk=8, seed=3
+        spec = ExperimentSpec(
+            agent="chatbot",
+            workload="sharegpt",
+            model="8b",
+            arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=12, task_pool_size=8),
+            max_decode_chunk=8,
+            seed=3,
         )
-        result = run_at_qps(config, qps=4.0, num_requests=12, task_pool_size=8)
+        result = run_experiment(spec)
         assert result.mean_latency == 5.165153545879206
         assert result.p95_latency == 9.76467261074811
         assert result.energy_wh == 1.0307809818002893
@@ -124,7 +109,7 @@ class TestServingGolden:
 
 
 class TestTrafficProgramCompat:
-    """Shapes and studies must not perturb the legacy surfaces they wrap."""
+    """Shapes and studies must not perturb the golden-pinned serving path."""
 
     def _spec(self, **overrides) -> ExperimentSpec:
         base = dict(
@@ -158,9 +143,7 @@ class TestTrafficProgramCompat:
                 shape=ConstantShape(),
             )
         )
-        outcome = run_experiment(shaped)
-        for metric, expected in TestServingGolden.GOLDEN.items():
-            assert getattr(outcome.serving, metric) == expected, metric
+        check_golden(run_experiment(shaped), TestServingGolden.GOLDEN)
 
     def test_run_sweep_is_byte_identical_to_one_axis_study(self):
         from repro.api import StudyAxis, StudySpec, run_experiment, run_sweep, run_study
@@ -171,9 +154,11 @@ class TestTrafficProgramCompat:
         study = run_study(
             StudySpec(base=spec, axes=(StudyAxis(name="qps", values=qps_values),))
         )
-        manual = [run_experiment(spec.at_qps(qps)).serving for qps in qps_values]
+        manual = [run_experiment(spec.at_qps(qps)) for qps in qps_values]
         for via_sweep, via_study, direct in zip(
-            sweep.results, (point.outcome.serving for point in study.points), manual
+            (point.outcome for point in sweep.points),
+            (point.outcome for point in study.points),
+            manual,
         ):
             assert via_sweep.latencies == direct.latencies
             assert via_study.latencies == direct.latencies
@@ -186,9 +171,7 @@ class TestTrafficProgramCompat:
         from repro.api import run_sweep
 
         sweep = run_sweep(self._spec(), [1.0])
-        result = sweep.results[0]
-        for metric, expected in TestServingGolden.GOLDEN.items():
-            assert getattr(result, metric) == expected, metric
+        check_golden(sweep.points[0].outcome, TestServingGolden.GOLDEN)
 
 
 class TestResultSetInterface:
@@ -235,3 +218,50 @@ class TestResultSetInterface:
         warm = run_experiment(base.with_overrides(measurement=MeasurementSpec(warmup_requests=2)))
         assert warm.num_completed == full.num_completed - 2
         assert warm.latencies == full.latencies[2:]
+
+    def _chat_outcome(self):
+        return run_experiment(
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=3, task_pool_size=3),
+                max_decode_chunk=8,
+            )
+        )
+
+    def test_metric_accepts_only_metric_names(self):
+        outcome = self._chat_outcome()
+        # Attributes that are not metrics (methods, the spec, raw lists and
+        # reports, the kind string) must not resolve as one.
+        for name in ("summary", "spec", "latencies", "pool_stats", "kind", "raw"):
+            with pytest.raises(ValueError, match="no metric") as raised:
+                outcome.metric(name)
+            assert "p95_latency" in str(raised.value)  # lists the known names
+
+    def test_every_table_metric_is_an_attribute_and_resolves(self):
+        from repro.api import METRICS
+
+        outcome = self._chat_outcome()
+        for metric in METRICS:
+            value = getattr(outcome, metric.name)
+            assert value == metric.extract(outcome), metric.name
+            if value is not None:
+                assert outcome.metric(metric.name) == value, metric.name
+
+    def test_summary_reports_hol_blocking_for_per_pool_chunked_prefill(self):
+        from repro.api import PoolSpec
+
+        spec = ExperimentSpec(
+            agent="chatbot",
+            workload="sharegpt",
+            pools=(PoolSpec(name="chat", replicas=1, prefill_chunk_tokens=256),),
+            arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=4, task_pool_size=4),
+        )
+        assert spec.prefill_chunk_tokens is None
+        outcome = run_experiment(spec)
+        summary = outcome.summary()
+        assert summary["prefill_hol_block_s"] == outcome.prefill_hol_block_s
+        unchunked = run_experiment(
+            spec.with_overrides(pools=(PoolSpec(name="chat", replicas=1),))
+        )
+        assert "prefill_hol_block_s" not in unchunked.summary()

@@ -96,3 +96,21 @@ class TestHandWrittenDocs:
         assert len(names) > 20
         for name in names:
             assert hasattr(ResultSet, name), f"documented metric {name!r} unknown"
+
+    def test_metrics_doc_matches_metric_table(self):
+        # Both directions: every table entry is documented, and every plain
+        # backticked name in the doc's tables is a table entry.  The
+        # parameterised class_<stat>:<label> and tenant_throttle_decile:<n>
+        # forms are not plain names, so the pattern skips them.
+        from repro.api import METRICS
+
+        text = (DOCS / "METRICS.md").read_text()
+        documented = set(re.findall(r"^\| `([^`]+)` \|", text, flags=re.MULTILINE))
+        plain = {name for name in documented if re.fullmatch(r"[a-z_0-9]+", name)}
+        forms = documented - plain
+        assert forms and all(
+            name.startswith(("class_", "tenant_throttle_decile:")) for name in forms
+        ), f"unexpected parameterised names in METRICS.md: {sorted(forms)}"
+        table = {metric.name for metric in METRICS}
+        assert not table - plain, f"undocumented metrics: {sorted(table - plain)}"
+        assert not plain - table, f"documented non-metrics: {sorted(plain - table)}"

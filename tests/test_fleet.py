@@ -368,7 +368,7 @@ class TestFleetRegressions:
         system.create_agent = lambda **kwargs: StuckAgent()
         driver = ServingDriver(system)
         result = driver.serve(_build_plan(system))
-        assert result.num_completed == 0
+        assert result.results == []
 
     def test_mixture_spec_skips_legacy_workload(self):
         from repro.api.builder import SystemBuilder

@@ -5,17 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.agents import AgentConfig
-from repro.core import SingleRequestRunner
-from repro.serving import (
-    AgentServer,
-    ArrivalPlan,
-    ServingConfig,
-    poisson_plan,
-    run_at_qps,
-    sequential_plan,
-    sweep_qps,
-    uniform_plan,
-)
+from repro.api import ArrivalSpec, ExperimentSpec, ResultSet, run_experiment, run_sweep
+from repro.serving import ArrivalPlan, poisson_plan, sequential_plan, uniform_plan
 from repro.sim import RandomStream
 from repro.workloads import create_workload
 
@@ -57,103 +48,134 @@ class TestArrivalPlans:
             ArrivalPlan(arrival_times=[2.0, 1.0], tasks=tasks)
 
 
-def small_config(**overrides) -> ServingConfig:
+def small_spec(**overrides) -> ExperimentSpec:
     defaults = dict(
         agent="react",
-        benchmark="hotpotqa",
+        workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
         max_decode_chunk=8,
         seed=0,
     )
     defaults.update(overrides)
-    return ServingConfig(**defaults)
+    return ExperimentSpec(**defaults)
+
+
+def serve(
+    spec: ExperimentSpec, qps: float, num_requests: int, task_pool_size: int = 48
+) -> ResultSet:
+    """Serve ``spec`` open-loop at ``qps`` (Poisson arrivals)."""
+    arrival = ArrivalSpec(
+        process="poisson", qps=qps, num_requests=num_requests, task_pool_size=task_pool_size
+    )
+    return run_experiment(spec.with_overrides(arrival=arrival))
+
+
+def sweep(spec: ExperimentSpec, qps_values, num_requests: int, task_pool_size: int = 48):
+    arrival = ArrivalSpec(
+        process="single", num_requests=num_requests, task_pool_size=task_pool_size
+    )
+    return run_sweep(spec.with_overrides(arrival=arrival), qps_values)
 
 
 class TestAgentServer:
+    """The agent serving system (paper Fig. 10) driven through specs."""
+
     def test_open_loop_serving_completes_all_requests(self):
-        result = run_at_qps(small_config(), qps=1.0, num_requests=12, task_pool_size=8)
+        result = serve(small_spec(), qps=1.0, num_requests=12, task_pool_size=8)
         assert result.num_completed == 12
         assert result.throughput_qps > 0
         assert result.p95_latency >= result.latency_stats.p50
         assert result.energy_wh > 0
 
     def test_sequential_serving(self):
-        server = AgentServer(small_config())
-        result = server.serve_sequential(4)
+        result = run_experiment(
+            small_spec(arrival=ArrivalSpec(process="sequential", num_requests=4))
+        )
         assert result.num_completed == 4
-        assert result.offered_qps == 0.0
+        assert result.serving.offered_qps == 0.0
         assert result.duration == pytest.approx(sum(result.latencies), rel=0.05)
 
     def test_concurrent_serving_beats_sequential_throughput(self):
-        sequential = AgentServer(small_config()).serve_sequential(8)
-        concurrent = run_at_qps(small_config(), qps=2.0, num_requests=8, task_pool_size=8)
+        sequential = run_experiment(
+            small_spec(arrival=ArrivalSpec(process="sequential", num_requests=8))
+        )
+        concurrent = serve(small_spec(), qps=2.0, num_requests=8, task_pool_size=8)
         assert concurrent.throughput_qps > sequential.throughput_qps
 
     def test_chatbot_serving_has_low_latency_variance(self):
-        config = small_config(agent="chatbot", benchmark="sharegpt")
-        result = run_at_qps(config, qps=2.0, num_requests=15, task_pool_size=15)
+        spec = small_spec(agent="chatbot", workload="sharegpt")
+        result = serve(spec, qps=2.0, num_requests=15, task_pool_size=15)
         assert result.num_completed == 15
         assert result.p95_latency < 4 * result.latency_stats.p50 + 1.0
 
     def test_higher_load_increases_tail_latency(self):
-        low = run_at_qps(small_config(), qps=0.3, num_requests=15, task_pool_size=10)
-        high = run_at_qps(small_config(), qps=4.0, num_requests=15, task_pool_size=10)
+        low = serve(small_spec(), qps=0.3, num_requests=15, task_pool_size=10)
+        high = serve(small_spec(), qps=4.0, num_requests=15, task_pool_size=10)
         assert high.p95_latency > low.p95_latency
 
     def test_prefix_caching_improves_hit_rate_and_latency(self):
-        cached = run_at_qps(small_config(enable_prefix_caching=True), qps=1.0, num_requests=12)
-        uncached = run_at_qps(small_config(enable_prefix_caching=False), qps=1.0, num_requests=12)
-        assert cached.prefix_cache_hit_rate > 0.5
-        assert uncached.prefix_cache_hit_rate == 0.0
+        cached = serve(small_spec(enable_prefix_caching=True), qps=1.0, num_requests=12)
+        uncached = serve(small_spec(enable_prefix_caching=False), qps=1.0, num_requests=12)
+        assert cached.serving.prefix_cache_hit_rate > 0.5
+        assert uncached.serving.prefix_cache_hit_rate == 0.0
         assert cached.p95_latency <= uncached.p95_latency * 1.05
 
     def test_kv_memory_lower_with_prefix_caching(self):
-        cached = run_at_qps(small_config(enable_prefix_caching=True), qps=0.5, num_requests=12)
-        uncached = run_at_qps(small_config(enable_prefix_caching=False), qps=0.5, num_requests=12)
-        assert cached.kv_average_bytes < uncached.kv_average_bytes
-        assert cached.kv_max_bytes <= uncached.kv_max_bytes
+        cached = serve(small_spec(enable_prefix_caching=True), qps=0.5, num_requests=12)
+        uncached = serve(small_spec(enable_prefix_caching=False), qps=0.5, num_requests=12)
+        assert cached.serving.kv_average_bytes < uncached.serving.kv_average_bytes
+        assert cached.serving.kv_max_bytes <= uncached.serving.kv_max_bytes
 
     def test_energy_per_query_positive(self):
-        result = run_at_qps(small_config(), qps=0.5, num_requests=6)
+        result = serve(small_spec(), qps=0.5, num_requests=6)
         assert result.energy_wh_per_query > 0
 
     def test_serving_result_accuracy_in_unit_range(self):
-        result = run_at_qps(small_config(), qps=0.5, num_requests=10)
+        result = serve(small_spec(), qps=0.5, num_requests=10)
         assert 0.0 <= result.accuracy <= 1.0
 
 
 class TestQpsSweep:
     def test_sweep_produces_one_result_per_qps(self):
-        sweep = sweep_qps(small_config(), qps_values=(0.5, 1.0), num_requests=8, task_pool_size=8)
-        assert len(sweep.results) == 2
-        assert sweep.qps_values == [pytest.approx(0.5, rel=0.6), pytest.approx(1.0, rel=0.6)]
-        assert len(sweep.p95_latencies) == 2
+        result = sweep(small_spec(), (0.5, 1.0), num_requests=8, task_pool_size=8)
+        assert len(result.points) == 2
+        offered = [point.outcome.serving.offered_qps for point in result.points]
+        assert offered == [pytest.approx(0.5, rel=0.6), pytest.approx(1.0, rel=0.6)]
 
     def test_peak_throughput_positive_and_bounded(self):
-        sweep = sweep_qps(small_config(), qps_values=(0.25, 0.5, 1.0), num_requests=10)
-        peak = sweep.peak_throughput()
+        peak = sweep(small_spec(), (0.25, 0.5, 1.0), num_requests=10).peak_throughput()
         assert 0 < peak <= 1.5
 
     def test_peak_throughput_empty_sweep_is_zero(self):
-        from repro.serving.sweep import QpsSweepResult
-
-        assert QpsSweepResult(config=small_config()).peak_throughput() == 0.0
+        assert run_sweep(small_spec(), []).peak_throughput() == 0.0
 
     def test_sharegpt_peak_higher_than_agent_peak(self):
-        agent_sweep = sweep_qps(small_config(), qps_values=(0.5, 1.0), num_requests=10)
-        chatbot_sweep = sweep_qps(
-            small_config(agent="chatbot", benchmark="sharegpt"),
-            qps_values=(2.0, 4.0),
-            num_requests=10,
+        agent_sweep = sweep(small_spec(), (0.5, 1.0), num_requests=10)
+        chatbot_sweep = sweep(
+            small_spec(agent="chatbot", workload="sharegpt"), (2.0, 4.0), num_requests=10
         )
         assert chatbot_sweep.peak_throughput() > agent_sweep.peak_throughput()
 
 
+def characterization_spec(
+    workload: str, num_tasks: int, agent: str = "react", **overrides
+) -> ExperimentSpec:
+    return ExperimentSpec(
+        agent=agent,
+        workload=workload,
+        model="8b",
+        arrival=ArrivalSpec(process="single", num_requests=num_tasks),
+        seed=1,
+        **overrides,
+    )
+
+
 class TestSingleRequestRunnerIntegration:
+    """Single-request characterization (``single`` arrivals) end to end."""
+
     def test_runner_produces_observations_with_engine_metrics(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
-        result = runner.run("react", "hotpotqa", num_tasks=3)
+        result = run_experiment(characterization_spec("hotpotqa", 3)).characterization
         assert result.num_requests == 3
         for observation in result.observations:
             assert observation.energy_wh > 0
@@ -163,20 +185,17 @@ class TestSingleRequestRunnerIntegration:
         assert 0 <= result.accuracy <= 1
 
     def test_runner_respects_explicit_tasks(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
         workload = create_workload("math", seed=1)
         tasks = workload.sample_tasks(2)
-        result = runner.run("react", "math", tasks=tasks)
+        result = run_experiment(characterization_spec("math", 2), tasks=tasks).characterization
         assert result.num_requests == 2
         assert [obs.result.task_id for obs in result.observations] == [t.task_id for t in tasks]
 
     def test_gpu_idle_fraction_larger_for_slow_tools(self):
-        runner = SingleRequestRunner(model="8b", seed=1)
-        hotpot = runner.run("react", "hotpotqa", num_tasks=4)
-        webshop = runner.run("react", "webshop", num_tasks=4)
+        hotpot = run_experiment(characterization_spec("hotpotqa", 4)).characterization
+        webshop = run_experiment(characterization_spec("webshop", 4)).characterization
         assert hotpot.gpu_breakdown().fractions["idle"] > webshop.gpu_breakdown().fractions["idle"]
 
     def test_prefix_caching_flag_reflected_in_result(self):
-        runner = SingleRequestRunner(model="8b", enable_prefix_caching=False, seed=1)
-        result = runner.run("cot", "hotpotqa", num_tasks=2)
-        assert result.prefix_caching is False
+        spec = characterization_spec("hotpotqa", 2, agent="cot", enable_prefix_caching=False)
+        assert run_experiment(spec).characterization.prefix_caching is False

@@ -5,9 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.agents import AgentConfig
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment, run_sweep
-from repro.serving import ServingConfig, ServingResult, run_at_qps
-from repro.serving.sweep import QpsSweepResult
+from repro.api import (
+    ArrivalSpec,
+    ExperimentSpec,
+    ResultSet,
+    StudyPoint,
+    StudyResult,
+    StudySpec,
+    run_experiment,
+    run_sweep,
+)
+from repro.serving import ServingResult
 
 
 def agent_spec(**overrides) -> ExperimentSpec:
@@ -27,86 +35,86 @@ class TestMaxConcurrencyEnforcement:
     ARRIVAL = ArrivalSpec(process="poisson", qps=3.0, num_requests=10, task_pool_size=8)
 
     def test_unlimited_concurrency_never_queues(self):
-        result = run_experiment(agent_spec(arrival=self.ARRIVAL)).serving
+        result = run_experiment(agent_spec(arrival=self.ARRIVAL))
         assert result.num_queued == 0
         assert result.mean_admission_delay == 0.0
-        assert len(result.admission_delays) == 10
+        assert len(result.serving.admission_delays) == 10
 
     def test_gate_queues_excess_requests_and_reports_delay(self):
-        result = run_experiment(agent_spec(arrival=self.ARRIVAL, max_concurrency=2)).serving
+        result = run_experiment(agent_spec(arrival=self.ARRIVAL, max_concurrency=2))
         assert result.num_completed == 10
         assert result.num_queued > 0
         assert result.mean_admission_delay > 0.0
         assert result.p95_admission_delay >= result.mean_admission_delay
 
     def test_tighter_gate_increases_latency(self):
-        open_door = run_experiment(agent_spec(arrival=self.ARRIVAL)).serving
-        gated = run_experiment(agent_spec(arrival=self.ARRIVAL, max_concurrency=1)).serving
+        open_door = run_experiment(agent_spec(arrival=self.ARRIVAL))
+        gated = run_experiment(agent_spec(arrival=self.ARRIVAL, max_concurrency=1))
         assert gated.mean_latency > open_door.mean_latency
         assert gated.mean_admission_delay > open_door.mean_admission_delay
 
-    def test_legacy_serving_config_gate_is_enforced(self):
-        config = ServingConfig(
-            agent="react",
-            benchmark="hotpotqa",
-            agent_config=AgentConfig(max_iterations=5),
-            max_decode_chunk=8,
-            max_concurrency=2,
-        )
-        result = run_at_qps(config, qps=3.0, num_requests=10, task_pool_size=8)
-        assert result.num_queued > 0
-        assert result.mean_admission_delay > 0.0
-
     def test_reused_server_reports_per_run_admission_delays(self):
-        from repro.serving import AgentServer, poisson_plan
+        from repro.api import ServingDriver, SystemBuilder
+        from repro.serving import poisson_plan
 
-        config = ServingConfig(
+        spec = ExperimentSpec(
             agent="chatbot",
-            benchmark="sharegpt",
+            workload="sharegpt",
+            arrival=ArrivalSpec(process="sequential", num_requests=1),
             max_decode_chunk=8,
             max_concurrency=1,
         )
-        server = AgentServer(config)
+        system = SystemBuilder(spec).build()
+        driver = ServingDriver(system)
         plan = lambda tag: poisson_plan(
-            server.workload, qps=4.0, num_requests=4,
-            stream=server.stream.substream(f"plan/{tag}"), task_pool_size=4,
+            system.workload, qps=4.0, num_requests=4,
+            stream=system.stream.substream(f"plan/{tag}"), task_pool_size=4,
         )
-        first = server.serve(plan("a"))
-        second = server.serve(plan("b"))
+        first = driver.serve(plan("a"))
+        second = driver.serve(plan("b"))
         assert len(first.admission_delays) == 4
         assert len(second.admission_delays) == 4
 
 
 class TestPeakThroughputHardening:
-    def _result(self, qps: float, p95: float, completed: int = 10) -> ServingResult:
-        result = ServingResult(
-            config=ServingConfig(), offered_qps=qps, num_requests=completed, duration=1.0
-        )
+    def _result(self, qps: float, p95: float, completed: int = 10) -> ResultSet:
         # Fabricate a latency distribution with the desired p95 by reusing a
-        # single value; ServingResult derives p95 from results' latencies.
-        result.results = [_FakeRun(p95) for _ in range(completed)]
-        return result
+        # single value; the ResultSet derives p95 from the runs' latencies.
+        serving = ServingResult(
+            offered_qps=qps,
+            num_requests=completed,
+            duration=1.0,
+            results=[_FakeRun(p95) for _ in range(completed)],
+        )
+        return ResultSet(spec=ExperimentSpec(), serving=serving)
+
+    def _sweep(self, *outcomes: ResultSet) -> StudyResult:
+        study = StudySpec(base=ExperimentSpec(), points=({},), name="qps-sweep")
+        points = [
+            StudyPoint(coords={}, labels={}, seed=0, spec=study.base, outcome=outcome)
+            for outcome in outcomes
+        ]
+        return StudyResult(study=study, points=points)
 
     def test_zero_baseline_does_not_collapse_threshold(self):
-        sweep = QpsSweepResult(config=ServingConfig())
-        sweep.results = [self._result(0.5, 0.0), self._result(1.0, 2.0), self._result(2.0, 3.0)]
+        sweep = self._sweep(
+            self._result(0.5, 0.0), self._result(1.0, 2.0), self._result(2.0, 3.0)
+        )
         # Seed behaviour: threshold = 0 * 3 = 0 -> only the zero-latency point
         # qualifies.  Hardened behaviour: baseline falls back to the smallest
         # positive p95 (2.0), threshold 6.0, so every point qualifies.
         assert sweep.peak_throughput() == pytest.approx(10.0 / 1.0)
 
     def test_all_zero_latencies_count_completed_points(self):
-        sweep = QpsSweepResult(config=ServingConfig())
-        sweep.results = [self._result(0.5, 0.0), self._result(1.0, 0.0)]
+        sweep = self._sweep(self._result(0.5, 0.0), self._result(1.0, 0.0))
         assert sweep.peak_throughput() > 0.0
 
     def test_explicit_slo_still_respected(self):
-        sweep = QpsSweepResult(config=ServingConfig())
-        sweep.results = [self._result(0.5, 1.0), self._result(1.0, 9.0)]
+        sweep = self._sweep(self._result(0.5, 1.0), self._result(1.0, 9.0))
         assert sweep.peak_throughput(latency_slo_s=2.0) == pytest.approx(10.0)
 
     def test_empty_sweep_is_zero(self):
-        assert QpsSweepResult(config=ServingConfig()).peak_throughput() == 0.0
+        assert self._sweep().peak_throughput() == 0.0
 
     def test_warmup_opens_measured_window_at_boundary(self):
         from repro.api import MeasurementSpec
@@ -115,10 +123,10 @@ class TestPeakThroughputHardening:
         base = ExperimentSpec(
             agent="chatbot", workload="sharegpt", arrival=arrival, max_decode_chunk=8
         )
-        full = run_experiment(base).serving
+        full = run_experiment(base)
         warm = run_experiment(
             base.with_overrides(measurement=MeasurementSpec(warmup_requests=3))
-        ).serving
+        )
         # Same simulation, smaller measured window: duration and energy must
         # shrink, so derived rates are not diluted by the warm-up period.
         assert warm.duration < full.duration
@@ -140,9 +148,9 @@ class TestPeakThroughputHardening:
         sweep = run_sweep(spec, (1.0, 2.0))
         # Warm-up trimming shrinks both completions and the issued count, so
         # the 95%-completion knee gate still passes on healthy runs.
-        for result in sweep.results:
-            assert result.num_requests == 6
-            assert result.num_completed == 6
+        for point in sweep.points:
+            assert point.outcome.num_requests == 6
+            assert point.outcome.num_completed == 6
         assert sweep.peak_throughput() > 0.0
 
 
@@ -184,6 +192,6 @@ class TestReplicaScaling:
         assert single_peak > 0
         assert sweep.peak_throughput() > single_peak
         # Every load point completes.
-        for result in sweep.results:
-            assert result.num_completed == result.num_requests
-            assert result.num_replicas == 4
+        for point in sweep.points:
+            assert point.outcome.num_completed == point.outcome.num_requests
+            assert point.outcome.serving.num_replicas == 4

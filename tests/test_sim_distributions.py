@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,36 @@ class TestRandomStream:
         shuffled = stream.shuffle(items)
         assert sorted(shuffled) == items
         assert items == list(range(10))  # original untouched
+
+
+class TestRawDrawPins:
+    """Raw ``RandomStream`` draws, pinned exactly.
+
+    Every golden number in the suite sits on these draws.  A numpy upgrade
+    that changes a generator's algorithm moves all of them at once; this
+    test fails first, in one obvious place, and names the numpy version.
+    """
+
+    PINS = {
+        "random": ((), [0.5360825049930669, 0.5798001424886616, 0.645831173678416]),
+        "integers": ((0, 1000), [321, 785, 263]),
+        "exponential": (
+            (2.0,), [2.8012976007537542, 1.6315550549254156, 0.26906902385260667]
+        ),
+        "lognormal": (
+            (0.0, 0.5), [1.2285117063837043, 0.8435460894622785, 0.3796264229676109]
+        ),
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINS))
+    def test_draws_match_pins(self, method):
+        args, expected = self.PINS[method]
+        stream = RandomStream(7, f"golden/{method}")
+        draws = [getattr(stream, method)(*args) for _ in expected]
+        assert draws == expected, (
+            f"RandomStream.{method} draws moved under numpy {numpy.__version__}; "
+            "every golden pin in the suite depends on them"
+        )
 
 
 class TestSamplers:

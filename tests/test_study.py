@@ -352,15 +352,18 @@ class TestRunStudy:
         spec = tiny_spec()
         qps_values = [1.0, 2.0]
         sweep = run_sweep(spec, qps_values)
-        manual = [run_experiment(spec.at_qps(qps)).serving for qps in qps_values]
-        assert [r.latencies for r in sweep.results] == [r.latencies for r in manual]
-        assert [r.energy_wh for r in sweep.results] == [r.energy_wh for r in manual]
-        assert sweep.qps_values == [r.offered_qps for r in manual]
+        manual = [run_experiment(spec.at_qps(qps)) for qps in qps_values]
+        swept = [point.outcome for point in sweep.points]
+        assert [r.latencies for r in swept] == [r.latencies for r in manual]
+        assert [r.energy_wh for r in swept] == [r.energy_wh for r in manual]
+        assert [r.serving.offered_qps for r in swept] == [
+            r.serving.offered_qps for r in manual
+        ]
 
     def test_run_sweep_with_no_loads_returns_empty_sweep(self):
-        # The historical loop ran zero times; the study shim must too.
+        # No loads, no experiments: an empty sweep.
         sweep = run_sweep(tiny_spec(), [])
-        assert sweep.results == []
+        assert sweep.points == []
         assert sweep.peak_throughput() == 0.0
 
     def test_progress_callback_sees_every_point(self):
