@@ -10,7 +10,7 @@ unused.
 """
 
 from repro.analysis import engine_fidelity_study
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
+from repro.api import ArrivalSpec, EngineSpec, ExperimentSpec, run_experiment
 
 from bench_utils import scaled
 
@@ -59,8 +59,7 @@ def test_fidelity_off_switch_is_identity(run_once):
         workload="sharegpt",
         arrival=arrival,
         max_num_seqs=4,
-        prefill_chunk_tokens=None,
-        speculative=None,
+        engine=EngineSpec(prefill_chunk_tokens=None, speculative=None),
     )
 
     def both():

@@ -9,7 +9,7 @@ for bit -- pinning hardware must cost nothing when it names the default.
 """
 
 from repro.analysis import hetero_fleet_study
-from repro.api import ArrivalSpec, ExperimentSpec, HardwareSpec, run_experiment
+from repro.api import ArrivalSpec, EngineSpec, ExperimentSpec, HardwareSpec, run_experiment
 
 from bench_utils import scaled
 
@@ -54,7 +54,7 @@ def test_hardware_unset_is_identity(run_once):
         workload="sharegpt",
         arrival=arrival,
         max_num_seqs=4,
-        hardware=HardwareSpec(gpu="A100-40GB"),
+        engine=EngineSpec(hardware=HardwareSpec(gpu="A100-40GB")),
     )
 
     def both():

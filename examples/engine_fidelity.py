@@ -7,10 +7,10 @@ decodes genuinely share each step.  This example declares the question as
 a :class:`~repro.api.StudySpec` sweeping two engine-fidelity knobs around
 that base spec:
 
-* ``chunk`` (the ``prefill_chunk_tokens`` field) -- atomic prefill (off)
+* ``chunk`` (the ``engine.prefill_chunk_tokens`` field) -- atomic prefill (off)
   vs a 256- or 1024-token per-step budget, vLLM-style: prompt chunks are
   co-scheduled with running decodes instead of parking them,
-* ``spec`` (the ``speculative`` field) -- speculative decoding off vs on
+* ``spec`` (the ``engine.speculative`` field) -- speculative decoding off vs on
   (draft model at 10% of target cost, 4 drafted tokens per step, 70%
   per-position acceptance).
 

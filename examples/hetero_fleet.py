@@ -2,7 +2,8 @@
 
 Which *hardware* should you buy for the chat+agent mixture?  This example
 sweeps fleet hardware layouts (each pool pinned to a catalog GPU via
-:class:`~repro.api.HardwareSpec`) against traffic programs:
+``PoolSpec(engine=EngineSpec(hardware=HardwareSpec(...)))``) against
+traffic programs:
 
 * ``fleet`` (the ``pools`` field) -- a lean homogeneous A100 fleet, a
   heavy homogeneous A100 fleet (chat pool sized up chasing attainment),

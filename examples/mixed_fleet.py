@@ -31,6 +31,7 @@ from repro.analysis import format_table
 from repro.api import (
     ArrivalSpec,
     AutoscalerSpec,
+    EngineSpec,
     ExperimentSpec,
     PoolSpec,
     WeightedWorkload,
@@ -72,7 +73,7 @@ def main() -> None:
         ),
         arrival=ArrivalSpec(process="poisson", qps=2.5, num_requests=30, task_pool_size=12),
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         # Route and schedule on noisy decode-length predictions (20 % error)
         # instead of assuming a perfect oracle.
         predictor_error=0.2,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from repro.agents import AgentConfig
 from repro.analysis import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
+from repro.api import ArrivalSpec, EngineSpec, ExperimentSpec, run_experiment
 
 
 def main() -> None:
@@ -54,7 +54,7 @@ def main() -> None:
         agent="react",
         workload="hotpotqa",
         model="8b",
-        enable_prefix_caching=True,
+        engine=EngineSpec(enable_prefix_caching=True),
         agent_config=AgentConfig(max_iterations=7, num_few_shot=2),
         arrival=ArrivalSpec(process="single", num_requests=10),
         seed=0,
@@ -107,7 +107,7 @@ def main() -> None:
         replicas=2,
         router="least-loaded",
         scheduler="fcfs",
-        max_decode_chunk=8,
+        engine=spec.engine.merge(EngineSpec(max_decode_chunk=8)),
         arrival=ArrivalSpec(process="poisson", qps=1.0, num_requests=16, task_pool_size=8),
     )
     serving = run_experiment(serving_spec)

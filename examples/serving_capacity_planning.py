@@ -18,7 +18,7 @@ import argparse
 
 from repro.agents import AgentConfig
 from repro.analysis import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, run_sweep
+from repro.api import ArrivalSpec, EngineSpec, ExperimentSpec, run_sweep
 
 
 def main() -> None:
@@ -42,10 +42,9 @@ def main() -> None:
                     workload=benchmark,
                     replicas=replicas,
                     router=args.router,
-                    enable_prefix_caching=caching,
+                    engine=EngineSpec(enable_prefix_caching=caching, max_decode_chunk=8),
                     agent_config=AgentConfig(max_iterations=7),
                     arrival=ArrivalSpec(process="single", num_requests=args.requests),
-                    max_decode_chunk=8,
                 )
                 sweep = run_sweep(spec, qps_values)
                 peak = sweep.peak_throughput()

@@ -11,7 +11,7 @@ three axes around one sessionful base spec:
   the replica that served its previous turn),
 * ``turns`` (the ``arrival.sessions`` field) -- short (2) vs long (4)
   conversations,
-* ``kv`` (the ``kv_cache_fraction`` field) -- a KV cache sized for the
+* ``kv`` (the ``engine.kv_cache_fraction`` field) -- a KV cache sized for the
   working set vs squeezed to 5%, so cross-turn reuse competes with
   capacity eviction.
 

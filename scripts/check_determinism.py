@@ -10,7 +10,8 @@ of hash-randomised keys somewhere in the scheduling or aggregation path
 -- the tests all pass within one process, and results drift between
 processes.  This script pins the contract the way CI exercises it: run a
 small but representative experiment battery -- including the chunked
-prefill and speculative-decoding fidelity paths -- in two fresh
+prefill and speculative-decoding fidelity paths, and pools overriding an
+experiment-wide engine -- in two fresh
 interpreters with *different* hash seeds, serialise every result to
 canonical JSON (full latency vectors, not just summaries), and diff.
 
@@ -43,7 +44,9 @@ def battery() -> dict:
     """Run the experiment battery and return a JSON-ready payload."""
     from repro.api import (
         ArrivalSpec,
+        EngineSpec,
         ExperimentSpec,
+        PoolSpec,
         SpeculativeSpec,
         WeightedWorkload,
         run_experiment,
@@ -70,10 +73,26 @@ def battery() -> dict:
 
     specs = {
         "baseline": mixture(),
-        "chunked-prefill": mixture(prefill_chunk_tokens=128),
-        "speculative": mixture(speculative=SpeculativeSpec()),
+        "chunked-prefill": mixture(engine=EngineSpec(prefill_chunk_tokens=128)),
+        "speculative": mixture(engine=EngineSpec(speculative=SpeculativeSpec())),
         "chunked+speculative": mixture(
-            prefill_chunk_tokens=128, speculative=SpeculativeSpec()
+            engine=EngineSpec(prefill_chunk_tokens=128, speculative=SpeculativeSpec())
+        ),
+        # Per-pool engines merged over an experiment-wide chunked prefill.
+        "pool-engine-overrides": mixture(
+            engine=EngineSpec(prefill_chunk_tokens=128),
+            pools=(
+                PoolSpec(
+                    name="chat",
+                    traffic_classes=("chat",),
+                    engine=EngineSpec(speculative=SpeculativeSpec()),
+                ),
+                PoolSpec(
+                    name="agent",
+                    traffic_classes=("agent",),
+                    engine=EngineSpec(hardware="H100-80GB"),
+                ),
+            ),
         ),
         "tenanted-vtc": ExperimentSpec(
             agent="chatbot",

@@ -126,8 +126,8 @@ def _render_gpu_catalog() -> str:
     table shape (roofline, power, and price columns instead of docstrings)."""
     parts: List[str] = ["\n## GPU catalog\n"]
     parts.append(
-        "Named by `HardwareSpec.gpu` (on `PoolSpec.hardware` /\n"
-        "`ExperimentSpec.hardware`); registered in `repro.llm.hardware`\n"
+        "Named by `HardwareSpec.gpu` (on `EngineSpec.hardware`, set per pool\n"
+        "or experiment-wide); registered in `repro.llm.hardware`\n"
         "(`register_gpu`).  Prices are GCP us-central1 on-demand per\n"
         "GPU-hour; rooflines are vendor datasheet numbers (dense bf16).\n"
     )

@@ -27,6 +27,7 @@ from repro.analysis.reporting import format_table
 from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
+    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     ResultSet,
@@ -185,7 +186,7 @@ def admission_study(
         measurement=MeasurementSpec(
             class_slos=(("chat", chat_slo_s),), warmup_requests=warmup_requests
         ),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     outcomes: Dict[str, ResultSet] = {}

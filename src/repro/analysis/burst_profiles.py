@@ -29,6 +29,7 @@ from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
     AutoscalerSpec,
+    EngineSpec,
     ExperimentSpec,
     StudyAxis,
     StudyResult,
@@ -190,7 +191,7 @@ def burst_profile_study(
             forecaster_alpha=0.6,
             forecaster_beta=0.4,
         ),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     study = StudySpec(

@@ -10,9 +10,9 @@ both matter most on exactly the agent-heavy mixtures this repo studies:
 long retrieval-stuffed ReAct prompts are the prefills that chat decodes get
 stuck behind.
 
-This study sweeps :attr:`~repro.api.ExperimentSpec.prefill_chunk_tokens`
+This study sweeps :attr:`~repro.api.EngineSpec.prefill_chunk_tokens`
 (off plus a small/large per-step budget) against
-:attr:`~repro.api.ExperimentSpec.speculative` (off / on) on the contended
+:attr:`~repro.api.EngineSpec.speculative` (off / on) on the contended
 Table IV-style chat+agent mixture used by the fairness studies.  Every grid
 point serves the same arrivals on the same single replica at the same seed,
 so replica-seconds are equal across the grid and any movement in
@@ -217,7 +217,7 @@ def engine_fidelity_study(
         axes=(
             StudyAxis(
                 name="chunk",
-                field="prefill_chunk_tokens",
+                field="engine.prefill_chunk_tokens",
                 values=tuple(chunk_values),
                 labels=tuple(
                     "off" if value is None else str(value) for value in chunk_values
@@ -225,7 +225,7 @@ def engine_fidelity_study(
             ),
             StudyAxis(
                 name="spec",
-                field="speculative",
+                field="engine.speculative",
                 values=(None, speculative),
                 labels=("off", "on"),
             ),

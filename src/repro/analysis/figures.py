@@ -15,7 +15,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.agents import AgentConfig, PAPER_AGENTS
 from repro.analysis.reporting import format_table
-from repro.api import ArrivalSpec, ExperimentSpec, StudyResult, run_experiment, run_sweep
+from repro.api import (
+    ArrivalSpec,
+    EngineSpec,
+    ExperimentSpec,
+    StudyResult,
+    run_experiment,
+    run_sweep,
+)
 from repro.core import (
     CharacterizationResult,
     DesignPoint,
@@ -62,11 +69,13 @@ def characterize(
         agent=agent,
         workload=benchmark,
         model=model,
-        enable_prefix_caching=enable_prefix_caching,
+        engine=EngineSpec(
+            enable_prefix_caching=enable_prefix_caching,
+            max_decode_chunk=max_decode_chunk,
+        ),
         agent_config=config or AgentConfig(),
         arrival=ArrivalSpec(process="single", num_requests=num_tasks),
         seed=seed,
-        max_decode_chunk=max_decode_chunk,
     )
     return run_experiment(spec).characterization
 
@@ -451,11 +460,10 @@ def figure11(
                 model=model,
                 replicas=replicas,
                 router=router,
-                enable_prefix_caching=caching,
+                engine=EngineSpec(enable_prefix_caching=caching, max_decode_chunk=4),
                 agent_config=default_config(benchmark) if benchmark != "sharegpt" else AgentConfig(),
                 arrival=ArrivalSpec(process="single", num_requests=num_requests),
                 seed=seed,
-                max_decode_chunk=4,
             )
             curves[(label, caching)] = run_sweep(spec, qps_grid[label])
     return Figure11Result(curves=curves)
@@ -507,11 +515,10 @@ def figure12(
                 agent="react",
                 workload=benchmark,
                 model=model,
-                enable_prefix_caching=caching,
+                engine=EngineSpec(enable_prefix_caching=caching, max_decode_chunk=4),
                 agent_config=default_config(benchmark),
                 arrival=ArrivalSpec(process="poisson", qps=qps, num_requests=num_requests),
                 seed=seed,
-                max_decode_chunk=4,
             )
             result = run_experiment(spec).serving
             measurements[(benchmark, caching)] = {
@@ -949,7 +956,7 @@ def mixed_fleet(
             process="poisson", qps=qps, num_requests=num_requests, task_pool_size=12
         ),
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         predictor_error=predictor_error,
         seed=seed,
     )

@@ -27,6 +27,7 @@ from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
+    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     ParetoPoint,
@@ -155,7 +156,7 @@ def fleet_sizing_study(
             task_pool_size=task_pool_size,
         ),
         measurement=MeasurementSpec(class_slos=(("chat", chat_slo_s),)),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     study = StudySpec(

@@ -2,8 +2,8 @@
 
 The datacenter scenarios so far size fleets in *replicas* of one GPU; real
 capacity planning buys *hardware*.  This study crosses fleet hardware
-layouts (the ``fleet`` axis: every pool carries its own
-:class:`~repro.api.HardwareSpec`) with traffic programs (the ``traffic``
+layouts (the ``fleet`` axis: every pool's :class:`~repro.api.EngineSpec`
+carries its own :class:`~repro.api.HardwareSpec`) with traffic programs (the ``traffic``
 axis: steady vs burst) on the weighted chat+agent mixture, prices each run
 with the catalog's GPU hourly rates, and asks the planner question on the
 resulting frontier: dollars per 1k served tokens vs chat SLO attainment.
@@ -26,6 +26,7 @@ from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
+    EngineSpec,
     ExperimentSpec,
     FleetPlan,
     FleetPlanner,
@@ -73,7 +74,7 @@ def _fleet_layout(
             replicas=chat_replicas,
             router="least-loaded",
             traffic_classes=("chat",),
-            hardware=HardwareSpec(gpu=chat_gpu),
+            engine=EngineSpec(hardware=HardwareSpec(gpu=chat_gpu)),
         ),
         PoolSpec(
             name="agent",
@@ -82,7 +83,7 @@ def _fleet_layout(
             scheduler="sjf-by-predicted-decode",
             router="prefix-affinity",
             traffic_classes=("agent",),
-            hardware=HardwareSpec(gpu=agent_gpu),
+            engine=EngineSpec(hardware=HardwareSpec(gpu=agent_gpu)),
         ),
     )
 
@@ -213,7 +214,7 @@ def hetero_fleet_study(
             task_pool_size=task_pool_size,
         ),
         measurement=MeasurementSpec(class_slos=(("chat", chat_slo_s),)),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     study = StudySpec(

@@ -38,6 +38,7 @@ from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
     AutoscalerSpec,
+    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     ResultSet,
@@ -211,7 +212,7 @@ def predictive_scaling_study(
         measurement=MeasurementSpec(
             class_slos=(("chat", chat_slo_s),), warmup_requests=warmup_requests
         ),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     outcomes: Dict[str, ResultSet] = {}

@@ -9,8 +9,9 @@ hits.  This study makes the trade concrete with the declarative study
 machinery: a :class:`~repro.api.StudySpec` sweeps the router policy
 (``least-loaded``, ``prefix-affinity``, and the sticky ``session-affinity``)
 against session length (the ``arrival.sessions`` axis) and prefix-cache
-capacity (the ``kv_cache_fraction`` axis) on a fixed-size replica fleet, so
-every grid point pays the same replica-seconds.
+capacity (the ``engine.kv_cache_fraction`` axis, see
+:attr:`~repro.api.EngineSpec.kv_cache_fraction`) on a fixed-size replica
+fleet, so every grid point pays the same replica-seconds.
 
 Cross-turn reuse is read off
 :attr:`~repro.api.ResultSet.cross_turn_hit_rate` (prefix-cache hit rate
@@ -37,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
+    EngineSpec,
     ExperimentSpec,
     ParetoPoint,
     SessionSpec,
@@ -189,7 +191,7 @@ def sessions_study(
                 think_time_s=think_time_s,
             ),
         ),
-        max_decode_chunk=4,
+        engine=EngineSpec(max_decode_chunk=4),
         seed=seed,
     )
     study = StudySpec(
@@ -211,7 +213,7 @@ def sessions_study(
             ),
             StudyAxis(
                 name="kv",
-                field="kv_cache_fraction",
+                field="engine.kv_cache_fraction",
                 values=tuple(kv_fractions),
                 labels=tuple(f"{fraction:g}" for fraction in kv_fractions),
             ),

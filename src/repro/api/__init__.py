@@ -60,9 +60,14 @@ never sever a conversation mid-flight), and sessionful results report
 ``cross_turn_hit_rate``, ``total_turns``, ``completed_sessions``, and
 ``affinity_invalidations`` (see ``examples/sessions.py``).
 
-Heterogeneous hardware: ``PoolSpec(hardware=HardwareSpec(gpu="H100-80GB"))``
-(or an experiment-wide ``ExperimentSpec(hardware=...)``) pins pools to
-catalog GPUs with their own roofline, power, and hourly cost, results gain
+Engine knobs live in one :class:`EngineSpec`: ``ExperimentSpec(engine=...)``
+sets them for every pool and ``PoolSpec(engine=...)`` overrides them per
+pool, field by field (:meth:`ExperimentSpec.engine_for` is the merged value).
+
+Heterogeneous hardware:
+``PoolSpec(engine=EngineSpec(hardware=HardwareSpec(gpu="H100-80GB")))`` (or
+an experiment-wide ``ExperimentSpec(engine=EngineSpec(hardware=...))``) pins
+pools to catalog GPUs with their own roofline, power, and hourly cost, results gain
 ``cost_usd`` / ``energy_j`` / ``cost_per_1k_tokens``,
 ``pool_classification="cost-aware"`` routes work to the cheapest pool whose
 predicted decode still meets the class SLO, and
@@ -79,6 +84,7 @@ from repro.api.spec import (
     AdmissionSpec,
     ArrivalSpec,
     AutoscalerSpec,
+    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     PoolSpec,
@@ -105,6 +111,7 @@ __all__ = [
     "AdmissionSpec",
     "ArrivalSpec",
     "AutoscalerSpec",
+    "EngineSpec",
     "ExperimentSpec",
     "FleetPlan",
     "FleetPlanner",

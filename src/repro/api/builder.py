@@ -134,48 +134,28 @@ class SystemBuilder:
         self.spec = spec
 
     def engine_config(self, pool: Optional[PoolSpec] = None) -> EngineConfig:
-        """Engine configuration for one pool (or the legacy default pool)."""
+        """Engine configuration for one pool (or the legacy default pool).
+
+        Knobs :meth:`ExperimentSpec.engine_for` leaves unset keep their
+        :class:`EngineConfig` defaults (unset hardware: ``cluster_for_model``).
+        """
         spec = self.spec
-        model = pool.model if pool is not None else spec.model
-        scheduler_policy = pool.scheduler if pool is not None else spec.scheduler
-        prefix_caching = spec.enable_prefix_caching
-        if pool is not None and pool.enable_prefix_caching is not None:
-            prefix_caching = pool.enable_prefix_caching
-        max_decode_chunk = spec.max_decode_chunk
-        if pool is not None and pool.max_decode_chunk is not None:
-            max_decode_chunk = pool.max_decode_chunk
+        knobs = spec.engine_for(pool).overrides()
+        hardware = knobs.pop("hardware", None)
         scheduler_kwargs = {}
         if spec.max_num_seqs is not None:
             scheduler_kwargs["max_num_seqs"] = spec.max_num_seqs
-        kv_cache_fraction = spec.kv_cache_fraction
-        if pool is not None and pool.kv_cache_fraction is not None:
-            kv_cache_fraction = pool.kv_cache_fraction
-        prefill_chunk_tokens = spec.prefill_chunk_tokens
-        if pool is not None and pool.prefill_chunk_tokens is not None:
-            prefill_chunk_tokens = pool.prefill_chunk_tokens
-        speculative = spec.speculative
-        if pool is not None and pool.speculative is not None:
-            speculative = pool.speculative
-        hardware = spec.hardware
-        if pool is not None and pool.hardware is not None:
-            hardware = pool.hardware
         return EngineConfig(
-            model=get_model(model),
-            enable_prefix_caching=prefix_caching,
+            model=get_model(pool.model if pool is not None else spec.model),
             scheduler=SchedulerConfig(
-                policy=scheduler_policy,
+                policy=pool.scheduler if pool is not None else spec.scheduler,
                 predictor_error=spec.predictor_error,
                 predictor_seed=spec.seed,
                 **scheduler_kwargs,
             ),
-            max_decode_chunk=max_decode_chunk,
             decode_fast_forward=spec.decode_fast_forward,
-            kv_cache_fraction=kv_cache_fraction,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            speculative=speculative,
-            # None keeps EngineConfig.resolved_cluster() on cluster_for_model,
-            # the golden-pinned legacy hardware.
             cluster=hardware.resolve() if hardware is not None else None,
+            **knobs,
         )
 
     def stream_name(self) -> str:

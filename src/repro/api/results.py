@@ -178,9 +178,9 @@ def _sessionful(result: ResultSet) -> bool:
 def _chunked_prefill(result: ResultSet) -> bool:
     """Any pool runs chunked prefill (experiment-wide or per-pool value)."""
     spec = result.spec
-    return result.serving is not None and (
-        spec.prefill_chunk_tokens is not None
-        or any(pool.prefill_chunk_tokens is not None for pool in spec.pools)
+    return result.serving is not None and any(
+        spec.engine_for(pool).prefill_chunk_tokens is not None
+        for pool in (None, *spec.pools)
     )
 
 

@@ -83,7 +83,7 @@ def _run_characterization(
         benchmark=spec.workload,
         model=cluster.model.name,
         config=spec.agent_config,
-        prefix_caching=spec.enable_prefix_caching,
+        prefix_caching=cluster.config.enable_prefix_caching,
     )
     for task in tasks:
         start_time = env.now

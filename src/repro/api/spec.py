@@ -16,7 +16,10 @@ Fleet vocabulary (the paper's Table IV datacenter scenario):
 * :class:`WeightedWorkload` -- one traffic class of a workload mixture: an
   (agent, workload) pair with a sampling weight,
 * :class:`AutoscalerSpec` -- elastic sizing of one pool from load signals
-  (queue depth, rolling p95) with warm-up cost and cooldown.
+  (queue depth, rolling p95) with warm-up cost and cooldown,
+* :class:`EngineSpec` -- the engine knobs (prefix caching, KV budget,
+  chunked prefill, speculation, hardware), set experiment-wide and
+  overridden per pool through one field-wise merge.
 
 Single-pool, single-workload specs (the default fields) are unchanged and
 reproduce the legacy results bit-for-bit.
@@ -24,7 +27,7 @@ reproduce the legacy results bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.agents import AgentConfig
@@ -367,21 +370,97 @@ class AdmissionSpec:
 
 
 @dataclass(frozen=True)
+class EngineSpec:
+    """The engine knobs of one pool, or of every pool experiment-wide.
+
+    Every field defaults to ``None``, meaning "unset": an unset knob keeps
+    its :class:`~repro.llm.engine.EngineConfig` default, the one place the
+    defaults live.  ``speculative`` is a
+    :class:`~repro.llm.speculative.SpeculativeSpec` and ``hardware`` a
+    :class:`~repro.llm.hardware.HardwareSpec` (dict forms, and a bare
+    catalog GPU name for ``hardware``, are accepted).  :meth:`merge`
+    replaces field by field: every set override wins, ``False`` included.
+    """
+
+    enable_prefix_caching: Optional[bool] = None
+    max_decode_chunk: Optional[int] = None
+    kv_cache_fraction: Optional[float] = None
+    prefill_chunk_tokens: Optional[int] = None
+    speculative: Optional[SpeculativeSpec] = None
+    hardware: Optional[HardwareSpec] = None
+
+    def __post_init__(self) -> None:
+        if self.max_decode_chunk is not None and self.max_decode_chunk < 1:
+            raise ValueError("max_decode_chunk must be >= 1 (or None)")
+        if self.kv_cache_fraction is not None and not 0 < self.kv_cache_fraction <= 1:
+            raise ValueError("kv_cache_fraction must be in (0, 1] (or None)")
+        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
+            raise ValueError("prefill_chunk_tokens must be >= 1 (or None)")
+        if isinstance(self.speculative, dict):
+            object.__setattr__(
+                self, "speculative", SpeculativeSpec.from_dict(self.speculative)
+            )
+        if self.speculative is not None and not isinstance(
+            self.speculative, SpeculativeSpec
+        ):
+            raise ValueError(
+                f"speculative must be a SpeculativeSpec (or a dict form), "
+                f"got {self.speculative!r}"
+            )
+        if isinstance(self.hardware, str):
+            object.__setattr__(self, "hardware", HardwareSpec(gpu=self.hardware))
+        elif isinstance(self.hardware, dict):
+            object.__setattr__(self, "hardware", HardwareSpec.from_dict(self.hardware))
+        if self.hardware is not None and not isinstance(self.hardware, HardwareSpec):
+            raise ValueError(
+                f"hardware must be a HardwareSpec (or a catalog GPU name / "
+                f"dict form), got {self.hardware!r}"
+            )
+        if (self.max_decode_chunk or 1) > 1 and (
+            self.prefill_chunk_tokens is not None or self.speculative is not None
+        ):
+            # Same incoherence EngineConfig.__post_init__ rejects, caught at
+            # spec construction instead of mid-run.
+            raise ValueError(
+                "prefill_chunk_tokens / speculative are incompatible with "
+                "max_decode_chunk > 1 (approximate decode chunking); "
+                "use decode_fast_forward for speed instead"
+            )
+
+    def overrides(self) -> Dict[str, Any]:
+        """The set (non-``None``) knobs, by field name."""
+        return {
+            knob.name: getattr(self, knob.name)
+            for knob in fields(self)
+            if getattr(self, knob.name) is not None
+        }
+
+    def merge(self, override: "EngineSpec") -> "EngineSpec":
+        """Copy with every set field of ``override`` replacing this one's."""
+        return replace(self, **override.overrides())
+
+
+def _as_engine(value: Any) -> EngineSpec:
+    """``value`` as an :class:`EngineSpec` (a dict form is accepted)."""
+    if isinstance(value, dict):
+        return EngineSpec(**value)
+    if not isinstance(value, EngineSpec):
+        raise ValueError(f"engine must be an EngineSpec (or a dict form), got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
 class PoolSpec:
     """One named replica pool of a heterogeneous fleet.
 
     ``traffic_classes`` names the :class:`WeightedWorkload` labels this pool
     prefers; ``max_predicted_decode`` additionally (or instead) claims every
-    request whose predicted decode length fits the bound.  ``None`` for
-    ``enable_prefix_caching`` / ``max_decode_chunk`` / ``kv_cache_fraction``
-    inherits the experiment defaults.
+    request whose predicted decode length fits the bound.
 
-    ``hardware`` gives this pool its own GPU generation and tensor-parallel
-    degree (a :class:`~repro.llm.hardware.HardwareSpec`; a bare catalog GPU
-    name or a dict form is accepted as shorthand), so pools in one fleet can
-    run different perf/energy/cost curves and KV budgets.  ``None`` (and
-    :attr:`ExperimentSpec.hardware` unset) keeps the model's
-    :func:`~repro.llm.hardware.cluster_for_model` default bit-for-bit.
+    ``engine`` overrides :attr:`ExperimentSpec.engine` for this pool's
+    engines (an :class:`EngineSpec`; a dict form is accepted): every set
+    knob wins, every unset one inherits.  A pool on its own GPU generation
+    is ``PoolSpec(name=..., engine=EngineSpec(hardware="H100-80GB"))``.
     """
 
     name: str
@@ -392,17 +471,7 @@ class PoolSpec:
     traffic_classes: Tuple[str, ...] = ()
     max_predicted_decode: Optional[int] = None
     accepts_spill: bool = True
-    enable_prefix_caching: Optional[bool] = None
-    max_decode_chunk: Optional[int] = None
-    kv_cache_fraction: Optional[float] = None
-    # Chunked-prefill budget and speculative-decoding model for this pool's
-    # engines (None = inherit the experiment defaults; dict forms accepted
-    # for ``speculative``).
-    prefill_chunk_tokens: Optional[int] = None
-    speculative: Optional[SpeculativeSpec] = None
-    # GPU generation / TP degree for this pool's engines (None = inherit the
-    # experiment default, which itself defaults to cluster_for_model).
-    hardware: Optional[HardwareSpec] = None
+    engine: EngineSpec = field(default_factory=EngineSpec)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -425,41 +494,7 @@ class PoolSpec:
             )
         if self.max_predicted_decode is not None and self.max_predicted_decode < 1:
             raise ValueError(f"pool {self.name!r}: max_predicted_decode must be >= 1")
-        if self.max_decode_chunk is not None and self.max_decode_chunk < 1:
-            raise ValueError(f"pool {self.name!r}: max_decode_chunk must be >= 1")
-        if self.kv_cache_fraction is not None and not 0 < self.kv_cache_fraction <= 1:
-            raise ValueError(
-                f"pool {self.name!r}: kv_cache_fraction must be in (0, 1] (or None)"
-            )
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
-            raise ValueError(
-                f"pool {self.name!r}: prefill_chunk_tokens must be >= 1 (or None)"
-            )
-        if isinstance(self.speculative, dict):
-            object.__setattr__(
-                self, "speculative", SpeculativeSpec.from_dict(self.speculative)
-            )
-        if self.speculative is not None and not isinstance(
-            self.speculative, SpeculativeSpec
-        ):
-            raise ValueError(
-                f"pool {self.name!r}: speculative must be a SpeculativeSpec "
-                f"(or a dict form), got {self.speculative!r}"
-            )
-        if isinstance(self.hardware, str):
-            object.__setattr__(self, "hardware", HardwareSpec(gpu=self.hardware))
-        elif isinstance(self.hardware, dict):
-            object.__setattr__(self, "hardware", HardwareSpec.from_dict(self.hardware))
-        if self.hardware is not None:
-            if not isinstance(self.hardware, HardwareSpec):
-                raise ValueError(
-                    f"pool {self.name!r}: hardware must be a HardwareSpec "
-                    f"(or a catalog GPU name / dict form), got {self.hardware!r}"
-                )
-            try:
-                self.hardware.resolve().kv_cache_bytes(get_model(self.model))
-            except ValueError as error:
-                raise ValueError(f"pool {self.name!r}: {error}") from None
+        object.__setattr__(self, "engine", _as_engine(self.engine))
         if not isinstance(self.traffic_classes, tuple):
             object.__setattr__(self, "traffic_classes", tuple(self.traffic_classes))
 
@@ -641,12 +676,13 @@ class ExperimentSpec:
     replicas: int = 1
     scheduler: str = "fcfs"
     router: str = "round-robin"
-    enable_prefix_caching: bool = True
+    # Engine knobs for every pool (PoolSpec.engine overrides them per pool);
+    # unset knobs keep the EngineConfig defaults, the legacy behaviour.
+    engine: EngineSpec = field(default_factory=EngineSpec)
     agent_config: AgentConfig = field(default_factory=AgentConfig)
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     seed: int = 0
-    max_decode_chunk: int = 1
     # Fast-forward uninterrupted decode stretches in one simulated event
     # (bit-for-bit identical results; see EngineConfig.decode_fast_forward).
     # Disable to force the reference one-event-per-token path.
@@ -669,23 +705,6 @@ class ExperimentSpec:
     # door, which is where admission-order policies (priority, sjf, vtc)
     # actually differ from fcfs.
     max_num_seqs: Optional[int] = None
-    # Fraction of the hardware-derived KV block budget each replica gets
-    # (1.0 = the full budget, the legacy behaviour).  Shrinking it models a
-    # smaller prefix-cache working set: warm conversation prefixes are
-    # evicted sooner, which is the capacity axis of the sessions study.
-    kv_cache_fraction: float = 1.0
-    # Chunked prefill: per-step budget of prompt tokens each engine computes,
-    # co-scheduled with decode tokens in one mixed roofline step.  None (the
-    # default) keeps atomic prefill -- bit-for-bit the legacy behaviour.
-    prefill_chunk_tokens: Optional[int] = None
-    # Speculative decoding acceptance model (dict forms accepted); None (the
-    # default) disables it -- bit-for-bit the legacy behaviour.
-    speculative: Optional[SpeculativeSpec] = None
-    # Default hardware for every pool's engines (a HardwareSpec; bare catalog
-    # GPU names and dict forms accepted; PoolSpec.hardware overrides it per
-    # pool).  None (the default) keeps cluster_for_model -- bit-for-bit the
-    # legacy behaviour.
-    hardware: Optional[HardwareSpec] = None
     # How the cluster picks a pool for each request: "static" (the legacy
     # traffic-class / predicted-decode classification) or "cost-aware" (the
     # cheapest pool whose predicted decode still meets the request's class
@@ -715,8 +734,6 @@ class ExperimentSpec:
                 f"unknown router policy {self.router!r}; "
                 f"known: {available_router_policies()}"
             )
-        if self.max_decode_chunk < 1:
-            raise ValueError("max_decode_chunk must be >= 1")
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1 (or None for unlimited)")
         if self.measurement.warmup_requests >= self.arrival.num_requests:
@@ -729,44 +746,6 @@ class ExperimentSpec:
             raise ValueError("predictor_error must be >= 0")
         if self.max_num_seqs is not None and self.max_num_seqs < 1:
             raise ValueError("max_num_seqs must be >= 1 (or None for the default)")
-        if not 0 < self.kv_cache_fraction <= 1:
-            raise ValueError("kv_cache_fraction must be in (0, 1]")
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
-            raise ValueError("prefill_chunk_tokens must be >= 1 (or None)")
-        if isinstance(self.speculative, dict):
-            object.__setattr__(
-                self, "speculative", SpeculativeSpec.from_dict(self.speculative)
-            )
-        if self.speculative is not None and not isinstance(
-            self.speculative, SpeculativeSpec
-        ):
-            raise ValueError(
-                f"speculative must be a SpeculativeSpec (or a dict form), "
-                f"got {self.speculative!r}"
-            )
-        if self.max_decode_chunk > 1 and (
-            self.prefill_chunk_tokens is not None or self.speculative is not None
-        ):
-            # Same incoherence EngineConfig.__post_init__ rejects; fail at
-            # spec construction with the experiment-level field names.
-            raise ValueError(
-                "prefill_chunk_tokens / speculative are incompatible with "
-                "max_decode_chunk > 1 (approximate decode chunking); "
-                "use decode_fast_forward for speed instead"
-            )
-        if isinstance(self.hardware, str):
-            object.__setattr__(self, "hardware", HardwareSpec(gpu=self.hardware))
-        elif isinstance(self.hardware, dict):
-            object.__setattr__(self, "hardware", HardwareSpec.from_dict(self.hardware))
-        if self.hardware is not None:
-            if not isinstance(self.hardware, HardwareSpec):
-                raise ValueError(
-                    f"hardware must be a HardwareSpec (or a catalog GPU name / "
-                    f"dict form), got {self.hardware!r}"
-                )
-            # Pools carrying their own model validate their own fit; the
-            # experiment default must at least fit the experiment model.
-            self.hardware.resolve().kv_cache_bytes(get_model(self.model))
         if self.pool_classification not in ("static", "cost-aware"):
             raise ValueError(
                 f"unknown pool_classification {self.pool_classification!r}; "
@@ -780,6 +759,7 @@ class ExperimentSpec:
                 "declare measurement.slo_p95_s or measurement.class_slos"
             )
         self._validate_fleet()
+        self._validate_engines()
         self._validate_admission()
 
     def _validate_fleet(self) -> None:
@@ -807,15 +787,6 @@ class ExperimentSpec:
                             f"pool {pool.name!r} claims unknown traffic class "
                             f"{traffic_class!r}; mixture classes: {sorted(known)}"
                         )
-        if self.hardware is not None:
-            # Pools without their own hardware inherit the experiment default;
-            # their (possibly different) model must fit it too.
-            for pool in self.pools:
-                if pool.hardware is None:
-                    try:
-                        self.hardware.resolve().kv_cache_bytes(get_model(pool.model))
-                    except ValueError as error:
-                        raise ValueError(f"pool {pool.name!r}: {error}") from None
         if self.autoscaler is not None:
             if self.arrival.process == "single":
                 raise ValueError(
@@ -826,6 +797,19 @@ class ExperimentSpec:
                     f"autoscaler targets unknown pool {self.autoscaler.pool!r}; "
                     f"known: {pool_names or ['default']}"
                 )
+
+    def _validate_engines(self) -> None:
+        """Every merged engine is coherent and its hardware fits its model."""
+        object.__setattr__(self, "engine", _as_engine(self.engine))
+        for pool in (None, *self.pools):
+            try:
+                engine = self.engine_for(pool)
+                if engine.hardware is not None:
+                    model = pool.model if pool is not None else self.model
+                    engine.hardware.resolve().kv_cache_bytes(get_model(model))
+            except ValueError as error:
+                scope = f"pool {pool.name!r}: " if pool is not None else ""
+                raise ValueError(f"{scope}{error}") from None
 
     def _validate_admission(self) -> None:
         known_classes = {mix.name for mix in self.workloads}
@@ -898,6 +882,12 @@ class ExperimentSpec:
             return any(mix.needs_tools for mix in self.workloads)
         return self.agent.lower() not in TOOLLESS_AGENTS
 
+    def engine_for(self, pool: Optional[PoolSpec] = None) -> EngineSpec:
+        """The engine knobs ``pool`` runs with (the experiment's without one)."""
+        if pool is None:
+            return self.engine
+        return self.engine.merge(pool.engine)
+
     def with_overrides(self, **overrides: Any) -> "ExperimentSpec":
         """Copy with fields replaced (validation reruns on construction)."""
         return replace(self, **overrides)
@@ -924,16 +914,10 @@ class ExperimentSpec:
             data["measurement"] = MeasurementSpec(**data["measurement"])
         if isinstance(data.get("admission"), dict):
             data["admission"] = AdmissionSpec.from_dict(data["admission"])
-        if data.get("pools"):
-            pools = []
-            for pool in data["pools"]:
-                if isinstance(pool, dict):
-                    pool = dict(pool, traffic_classes=tuple(pool.get("traffic_classes", ())))
-                    if isinstance(pool.get("hardware"), dict):
-                        pool["hardware"] = HardwareSpec.from_dict(pool["hardware"])
-                    pool = PoolSpec(**pool)
-                pools.append(pool)
-            data["pools"] = tuple(pools)
+        data["pools"] = tuple(
+            PoolSpec(**pool) if isinstance(pool, dict) else pool
+            for pool in data.get("pools", ())
+        )
         if data.get("workloads"):
             mixes = []
             for mix in data["workloads"]:
@@ -948,8 +932,4 @@ class ExperimentSpec:
             data["workloads"] = tuple(mixes)
         if isinstance(data.get("autoscaler"), dict):
             data["autoscaler"] = AutoscalerSpec(**data["autoscaler"])
-        if isinstance(data.get("speculative"), dict):
-            data["speculative"] = SpeculativeSpec.from_dict(data["speculative"])
-        if isinstance(data.get("hardware"), dict):
-            data["hardware"] = HardwareSpec.from_dict(data["hardware"])
         return cls(**data)

@@ -41,6 +41,7 @@ from repro.api.spec import (
     AdmissionSpec,
     ArrivalSpec,
     AutoscalerSpec,
+    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     PoolSpec,
@@ -375,6 +376,7 @@ class StudySpec:
 #: Spec-vocabulary types an axis value may carry (type-tagged when encoded).
 _SPEC_VALUE_TYPES: Dict[str, type] = {
     "PoolSpec": PoolSpec,
+    "EngineSpec": EngineSpec,
     "WeightedWorkload": WeightedWorkload,
     "AdmissionSpec": AdmissionSpec,
     "AutoscalerSpec": AutoscalerSpec,
@@ -411,8 +413,6 @@ def _decode_value(value: Any) -> Any:
             payload = dict(value["value"])
             if hasattr(value_type, "from_dict"):
                 return value_type.from_dict(payload)
-            if value_type is PoolSpec:
-                payload["traffic_classes"] = tuple(payload.get("traffic_classes", ()))
             if value_type is WeightedWorkload:
                 if isinstance(payload.get("shape"), dict):
                     payload["shape"] = shape_from_dict(payload["shape"])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.agents import AgentConfig
-from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
+from repro.api import ArrivalSpec, EngineSpec, ExperimentSpec, run_experiment
 from repro.api.results import METRICS_BY_NAME
 
 
@@ -84,7 +84,7 @@ class TestServingGolden:
             agent_config=AgentConfig(max_iterations=5),
             arrival=ArrivalSpec(process="poisson", qps=1.0, num_requests=10, task_pool_size=8),
             seed=0,
-            max_decode_chunk=8,
+            engine=EngineSpec(max_decode_chunk=8),
         )
 
     def test_spec_through_new_api_matches_seed(self):
@@ -98,7 +98,7 @@ class TestServingGolden:
             workload="sharegpt",
             model="8b",
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=12, task_pool_size=8),
-            max_decode_chunk=8,
+            engine=EngineSpec(max_decode_chunk=8),
             seed=3,
         )
         result = run_experiment(spec)
@@ -123,7 +123,7 @@ class TestTrafficProgramCompat:
                 process="poisson", qps=1.0, num_requests=10, task_pool_size=8
             ),
             seed=0,
-            max_decode_chunk=8,
+            engine=EngineSpec(max_decode_chunk=8),
         )
         base.update(overrides)
         return ExperimentSpec(**base)
@@ -186,7 +186,7 @@ class TestResultSetInterface:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=5, task_pool_size=5),
-            max_decode_chunk=8,
+            engine=EngineSpec(max_decode_chunk=8),
         )
         outcome = run_experiment(spec)
         summary = outcome.summary()
@@ -200,7 +200,7 @@ class TestResultSetInterface:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="sequential", num_requests=3),
-            max_decode_chunk=8,
+            engine=EngineSpec(max_decode_chunk=8),
         )
         outcome = run_experiment(spec)
         assert outcome.serving.offered_qps == 0.0
@@ -210,7 +210,8 @@ class TestResultSetInterface:
     def test_measurement_warmup_excludes_first_completions(self):
         arrival = ArrivalSpec(process="poisson", qps=2.0, num_requests=6, task_pool_size=5)
         base = ExperimentSpec(
-            agent="chatbot", workload="sharegpt", arrival=arrival, max_decode_chunk=8
+            agent="chatbot", workload="sharegpt", arrival=arrival,
+            engine=EngineSpec(max_decode_chunk=8),
         )
         full = run_experiment(base)
         from repro.api import MeasurementSpec
@@ -225,7 +226,7 @@ class TestResultSetInterface:
                 agent="chatbot",
                 workload="sharegpt",
                 arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=3, task_pool_size=3),
-                max_decode_chunk=8,
+                engine=EngineSpec(max_decode_chunk=8),
             )
         )
 
@@ -254,10 +255,16 @@ class TestResultSetInterface:
         spec = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            pools=(PoolSpec(name="chat", replicas=1, prefill_chunk_tokens=256),),
+            pools=(
+                PoolSpec(
+                    name="chat",
+                    replicas=1,
+                    engine=EngineSpec(prefill_chunk_tokens=256),
+                ),
+            ),
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=4, task_pool_size=4),
         )
-        assert spec.prefill_chunk_tokens is None
+        assert spec.engine.prefill_chunk_tokens is None
         outcome = run_experiment(spec)
         summary = outcome.summary()
         assert summary["prefill_hol_block_s"] == outcome.prefill_hol_block_s

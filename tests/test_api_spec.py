@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.agents import AgentConfig
-from repro.api import ArrivalSpec, ExperimentSpec, MeasurementSpec, SystemBuilder
+from repro.api import (
+    ArrivalSpec,
+    EngineSpec,
+    ExperimentSpec,
+    MeasurementSpec,
+    SystemBuilder,
+)
 
 
 class TestExperimentSpecValidation:
@@ -134,12 +140,11 @@ class TestSpecRoundTrip:
             replicas=3,
             scheduler="sjf-by-predicted-decode",
             router="prefix-affinity",
-            enable_prefix_caching=False,
+            engine=EngineSpec(enable_prefix_caching=False, max_decode_chunk=8),
             agent_config=AgentConfig(max_iterations=4, num_children=2),
             arrival=ArrivalSpec(process="poisson", qps=1.5, num_requests=9, task_pool_size=5),
             measurement=MeasurementSpec(warmup_requests=2),
             seed=7,
-            max_decode_chunk=8,
             max_concurrency=12,
         )
         payload = spec.to_dict()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -69,22 +70,40 @@ class TestHandWrittenDocs:
                 assert resolved.exists(), f"{source.name}: broken link to {target}"
 
     def test_specs_doc_covers_every_spec_type(self):
+        # Every spec type has a ``## <Type>`` section that names each of
+        # its dataclass fields in backticks.
+        import repro.api
+
+        sections = {}
         text = (DOCS / "SPECS.md").read_text()
+        for chunk in re.split(r"^## ", text, flags=re.MULTILINE)[1:]:
+            heading, _, body = chunk.partition("\n")
+            for name in heading.split(" / "):
+                sections[name.strip()] = body
         for spec_name in (
             "ExperimentSpec",
+            "EngineSpec",
             "ArrivalSpec",
             "MeasurementSpec",
             "AdmissionSpec",
             "PoolSpec",
+            "HardwareSpec",
             "WeightedWorkload",
             "AutoscalerSpec",
             "TenantSpec",
             "SessionSpec",
+            "SpeculativeSpec",
             "StudySpec",
+            "StudyAxis",
         ):
-            assert f"## {spec_name}" in text, (
+            assert spec_name in sections, (
                 f"docs/SPECS.md does not document {spec_name}"
             )
+            for spec_field in dataclasses.fields(getattr(repro.api, spec_name)):
+                assert f"`{spec_field.name}`" in sections[spec_name], (
+                    f"docs/SPECS.md ## {spec_name} does not document "
+                    f"`{spec_field.name}`"
+                )
 
     def test_metrics_doc_matches_resolvable_names(self):
         # Every plain metric name documented must actually resolve on a

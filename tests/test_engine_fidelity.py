@@ -12,9 +12,20 @@ mid-chunk arrivals, acceptance-draw determinism, and the API plumbing.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.api import ExperimentSpec, PoolSpec, SpeculativeSpec
+from repro.api import (
+    ArrivalSpec,
+    EngineSpec,
+    ExperimentSpec,
+    HardwareSpec,
+    PoolSpec,
+    SpeculativeSpec,
+    StudyAxis,
+    StudySpec,
+)
 from repro.api.builder import SystemBuilder
 from repro.llm import (
     EngineConfig,
@@ -36,6 +47,26 @@ from repro.llm.tokenizer import SegmentKind, SyntheticTokenizer
 from repro.sim import Environment
 
 TOKENIZER = SyntheticTokenizer()
+
+#: EngineSpec knob -> the EngineConfig field it sets.
+ENGINE_CONFIG_KNOBS = {
+    "enable_prefix_caching": "enable_prefix_caching",
+    "max_decode_chunk": "max_decode_chunk",
+    "kv_cache_fraction": "kv_cache_fraction",
+    "prefill_chunk_tokens": "prefill_chunk_tokens",
+    "speculative": "speculative",
+    "hardware": "cluster",
+}
+
+#: (knob, experiment-wide value, pool override); None leaves the knob unset.
+POOL_OVERRIDE_CASES = [
+    ("enable_prefix_caching", True, False),  # a falsy override still wins
+    ("max_decode_chunk", 2, 4),
+    ("kv_cache_fraction", 0.5, None),  # the pool inherits
+    ("prefill_chunk_tokens", 512, 128),
+    ("speculative", None, SpeculativeSpec()),
+    ("hardware", HardwareSpec(gpu="L4"), HardwareSpec(gpu="H100-80GB")),
+]
 
 
 def make_request(prompt_tokens: int, output_tokens: int = 16, stream: str = "req") -> LLMRequest:
@@ -336,29 +367,109 @@ class TestConfigAndPlumbing:
 
     def test_experiment_spec_rejects_decode_chunk_combos(self):
         with pytest.raises(ValueError):
-            ExperimentSpec(max_decode_chunk=4, prefill_chunk_tokens=256)
+            ExperimentSpec(engine=EngineSpec(max_decode_chunk=4, prefill_chunk_tokens=256))
         with pytest.raises(ValueError):
-            ExperimentSpec(max_decode_chunk=4, speculative=SpeculativeSpec())
+            ExperimentSpec(engine=EngineSpec(max_decode_chunk=4, speculative=SpeculativeSpec()))
+
+    def test_pool_merge_conflicts_fail_at_construction(self):
+        # Each half is coherent; only the merged pool engine is not.
+        arrival = ArrivalSpec(process="poisson", qps=1.0, num_requests=3)
+        with pytest.raises(ValueError, match="pool 'a'.*max_decode_chunk > 1"):
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                engine=EngineSpec(prefill_chunk_tokens=128),
+                pools=(PoolSpec(name="a", engine=EngineSpec(max_decode_chunk=4)),),
+                arrival=arrival,
+            )
+        with pytest.raises(ValueError, match="pool 'b'.*max_decode_chunk > 1"):
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                engine=EngineSpec(max_decode_chunk=4),
+                pools=(PoolSpec(name="b", engine=EngineSpec(speculative=SpeculativeSpec())),),
+                arrival=arrival,
+            )
 
     def test_spec_round_trips_through_dict(self):
         spec = ExperimentSpec(
-            prefill_chunk_tokens=256,
-            speculative=SpeculativeSpec(acceptance=0.5, num_speculative_tokens=2),
+            engine=EngineSpec(
+                prefill_chunk_tokens=256,
+                speculative=SpeculativeSpec(acceptance=0.5, num_speculative_tokens=2),
+            ),
         )
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
-    def test_builder_pool_overrides(self):
+    def test_unset_knobs_keep_engine_config_defaults(self):
+        config = SystemBuilder(ExperimentSpec()).engine_config()
+        default = EngineConfig()
+        for name in ENGINE_CONFIG_KNOBS.values():
+            assert getattr(config, name) == getattr(default, name), name
+
+    @pytest.mark.parametrize(
+        "knob, wide, override", POOL_OVERRIDE_CASES, ids=[case[0] for case in POOL_OVERRIDE_CASES]
+    )
+    def test_builder_pool_overrides(self, knob, wide, override):
         spec = ExperimentSpec(
+            engine=EngineSpec(**{knob: wide}),
             pools=(
-                PoolSpec(name="fast", prefill_chunk_tokens=128),
-                PoolSpec(name="spec", speculative=SpeculativeSpec()),
+                PoolSpec(name="override", engine=EngineSpec(**{knob: override})),
                 PoolSpec(name="plain"),
             ),
-            prefill_chunk_tokens=512,
         )
         builder = SystemBuilder(spec)
-        fast, spec_pool, plain = spec.pools
-        assert builder.engine_config(fast).prefill_chunk_tokens == 128
-        assert builder.engine_config(spec_pool).speculative == SpeculativeSpec()
-        assert builder.engine_config(plain).prefill_chunk_tokens == 512
-        assert builder.engine_config(plain).speculative is None
+        override_pool, plain = spec.pools
+        expected = override if override is not None else wide
+
+        def built(pool):
+            return getattr(builder.engine_config(pool), ENGINE_CONFIG_KNOBS[knob])
+
+        def resolved(value):
+            return value.resolve() if knob == "hardware" else value
+
+        assert getattr(spec.engine_for(override_pool), knob) == expected
+        assert getattr(spec.engine_for(plain), knob) == wide
+        assert built(override_pool) == resolved(expected)
+        assert built(plain) == resolved(wide)
+
+    def test_engine_axes_round_trip_through_json(self):
+        study = StudySpec(
+            base=ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                engine=EngineSpec(prefill_chunk_tokens=256),
+                arrival=ArrivalSpec(process="poisson", qps=1.0, num_requests=3),
+            ),
+            axes=(
+                StudyAxis(name="kv", field="engine.kv_cache_fraction", values=(0.5, 1.0)),
+                StudyAxis(
+                    name="fleet",
+                    field="pools",
+                    values=(
+                        (PoolSpec(name="fast", engine=EngineSpec(hardware="H100-80GB")),),
+                        (
+                            PoolSpec(
+                                name="cheap",
+                                engine=EngineSpec(
+                                    hardware=HardwareSpec(gpu="L4"),
+                                    speculative=SpeculativeSpec(),
+                                ),
+                            ),
+                        ),
+                    ),
+                ),
+            ),
+            name="engine-axes",
+        )
+        clone = StudySpec.from_dict(json.loads(json.dumps(study.to_dict())))
+        assert clone == study
+        fleet = clone.axes[1].values[1][0]
+        assert fleet.engine == EngineSpec(hardware="L4", speculative=SpeculativeSpec())
+        specs = [clone.spec_for(coords, seed) for coords, _, seed in clone.expand()]
+        assert specs == [study.spec_for(coords, seed) for coords, _, seed in study.expand()]
+        assert specs[-1].engine_for(specs[-1].pools[0]) == EngineSpec(
+            kv_cache_fraction=1.0,
+            prefill_chunk_tokens=256,
+            speculative=SpeculativeSpec(),
+            hardware="L4",
+        )

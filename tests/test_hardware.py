@@ -2,7 +2,7 @@
 
 Covers the GPU catalog registry (round-trips, aliases, unknown-name errors),
 HardwareSpec validation and serialisation, per-GPU model-fit errors, the
-golden pin (specs with ``hardware=None`` -- and with the explicit paper
+golden pin (specs with hardware unset -- and with the explicit paper
 default -- reproduce the default path bit for bit), cost/energy metric
 accounting, cost-aware pool classification, the FleetPlanner, and the
 autoscaler's planner-driven floor.
@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import (
     ArrivalSpec,
+    EngineSpec,
     ExperimentSpec,
     FleetPlanner,
     HardwareSpec,
@@ -209,30 +210,37 @@ class TestHardwareSpec:
 
 
 # ---------------------------------------------------------------------------
-# Spec threading: PoolSpec / ExperimentSpec
+# Spec threading: EngineSpec on PoolSpec / ExperimentSpec
 # ---------------------------------------------------------------------------
 
 
 class TestSpecThreading:
     def test_pool_hardware_shorthand_coercion(self):
-        by_str = PoolSpec(name="p", model="8b", hardware="H100-80GB")
-        by_dict = PoolSpec(name="p", model="8b", hardware={"gpu": "H100-80GB"})
-        assert by_str.hardware == HardwareSpec(gpu="H100-80GB")
-        assert by_dict.hardware == by_str.hardware
+        by_str = PoolSpec(name="p", model="8b", engine=EngineSpec(hardware="H100-80GB"))
+        by_dict = PoolSpec(name="p", model="8b", engine={"hardware": {"gpu": "H100-80GB"}})
+        assert by_str.engine.hardware == HardwareSpec(gpu="H100-80GB")
+        assert by_dict.engine == by_str.engine
 
     def test_pool_fit_error_names_pool(self):
+        big = PoolSpec(name="big", model="70b", engine=EngineSpec(hardware="L4"))
         with pytest.raises(ValueError, match="pool 'big'.*does not fit"):
-            PoolSpec(name="big", model="70b", hardware="L4")
+            ExperimentSpec(pools=(big,))
+        # An inherited experiment-wide GPU is checked against the pool's model.
+        with pytest.raises(ValueError, match="pool 'big'.*does not fit"):
+            ExperimentSpec(
+                engine=EngineSpec(hardware="L4"),
+                pools=(PoolSpec(name="big", model="70b"),),
+            )
 
     def test_experiment_hardware_fit_checked_against_model(self):
         with pytest.raises(ValueError, match="does not fit"):
-            ExperimentSpec(model="70b", hardware=HardwareSpec(gpu="L4"))
+            ExperimentSpec(model="70b", engine=EngineSpec(hardware=HardwareSpec(gpu="L4")))
 
     def test_cost_aware_requires_slo(self):
         pools = (
             PoolSpec(name="fast", model="8b", traffic_classes=("chat",)),
             PoolSpec(name="cheap", model="8b", traffic_classes=("agent",),
-                     hardware="L4"),
+                     engine=EngineSpec(hardware="L4")),
         )
         with pytest.raises(ValueError, match="cost-aware.*SLO"):
             ExperimentSpec(pools=pools, pool_classification="cost-aware")
@@ -245,9 +253,9 @@ class TestSpecThreading:
         spec = ExperimentSpec(
             pools=(
                 PoolSpec(name="chat", model="8b", traffic_classes=("chat",),
-                         hardware="H100-80GB"),
+                         engine=EngineSpec(hardware="H100-80GB")),
                 PoolSpec(name="agent", model="8b", traffic_classes=("agent",),
-                         hardware=HardwareSpec(gpu="L4")),
+                         engine=EngineSpec(hardware=HardwareSpec(gpu="L4"))),
             ),
             workloads=(
                 WeightedWorkload(agent="chatbot", workload="sharegpt",
@@ -256,18 +264,18 @@ class TestSpecThreading:
                                  weight=0.4, name="agent"),
             ),
             arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=4),
-            hardware=None,
+            engine=EngineSpec(hardware=None),
         )
         clone = ExperimentSpec.from_dict(spec.to_dict())
-        assert clone.pools[0].hardware == HardwareSpec(gpu="H100-80GB")
-        assert clone.pools[1].hardware == HardwareSpec(gpu="L4")
+        assert clone.pools[0].engine.hardware == HardwareSpec(gpu="H100-80GB")
+        assert clone.pools[1].engine.hardware == HardwareSpec(gpu="L4")
         assert clone == spec
 
     def test_experiment_hardware_dict_round_trip(self):
-        spec = ExperimentSpec(hardware=HardwareSpec(gpu="A100-80GB",
-                                                    tensor_parallel=2))
+        spec = ExperimentSpec(engine=EngineSpec(
+            hardware=HardwareSpec(gpu="A100-80GB", tensor_parallel=2)))
         clone = ExperimentSpec.from_dict(spec.to_dict())
-        assert clone.hardware == spec.hardware
+        assert clone.engine.hardware == spec.engine.hardware
 
     def test_hardware_axis_round_trips_through_study_dict(self):
         study = StudySpec(
@@ -275,7 +283,7 @@ class TestSpecThreading:
             axes=(
                 StudyAxis(
                     name="hw",
-                    field="hardware",
+                    field="engine.hardware",
                     values=(HardwareSpec(gpu="A100-40GB"),
                             HardwareSpec(gpu="H100-80GB")),
                     labels=("a100", "h100"),
@@ -288,7 +296,7 @@ class TestSpecThreading:
 
 
 # ---------------------------------------------------------------------------
-# Golden pin: hardware=None changes nothing
+# Golden pin: unset hardware changes nothing
 # ---------------------------------------------------------------------------
 
 
@@ -298,7 +306,7 @@ def small_serving_spec(**overrides) -> ExperimentSpec:
         workload="sharegpt",
         arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=10,
                             task_pool_size=6),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=0,
     )
     base.update(overrides)
@@ -309,7 +317,8 @@ class TestGoldenPin:
     def test_explicit_paper_default_is_identity(self):
         default_run = run_experiment(small_serving_spec())
         pinned_run = run_experiment(
-            small_serving_spec(hardware=HardwareSpec(gpu="A100-40GB"))
+            small_serving_spec(engine=EngineSpec(
+                max_decode_chunk=8, hardware=HardwareSpec(gpu="A100-40GB")))
         )
         assert pinned_run.latencies == default_run.latencies
         assert pinned_run.summary() == default_run.summary()
@@ -319,7 +328,7 @@ class TestGoldenPin:
             return small_serving_spec(
                 pools=(
                     PoolSpec(name="chat", model="8b", traffic_classes=("chat",),
-                             hardware=hardware),
+                             engine=EngineSpec(hardware=hardware)),
                 ),
                 workloads=(
                     WeightedWorkload(agent="chatbot", workload="sharegpt",
@@ -335,7 +344,8 @@ class TestGoldenPin:
     def test_non_default_hardware_changes_latencies(self):
         default_run = run_experiment(small_serving_spec())
         h100_run = run_experiment(
-            small_serving_spec(hardware=HardwareSpec(gpu="H100-80GB"))
+            small_serving_spec(engine=EngineSpec(
+                max_decode_chunk=8, hardware=HardwareSpec(gpu="H100-80GB")))
         )
         assert h100_run.latencies != default_run.latencies
         assert h100_run.mean_latency < default_run.mean_latency
@@ -390,9 +400,9 @@ class TestCostAccounting:
         spec = small_serving_spec(
             pools=(
                 PoolSpec(name="chat", model="8b", traffic_classes=("chat",),
-                         hardware="H100-80GB"),
+                         engine=EngineSpec(hardware="H100-80GB")),
                 PoolSpec(name="agent", model="8b", traffic_classes=("agent",),
-                         hardware="L4"),
+                         engine=EngineSpec(hardware="L4")),
             ),
             workloads=(
                 WeightedWorkload(agent="chatbot", workload="sharegpt",
@@ -481,8 +491,8 @@ class TestCostAwareClassification:
     def test_end_to_end_cost_aware_run(self):
         spec = small_serving_spec(
             pools=(
-                PoolSpec(name="fast", model="8b", hardware="H100-80GB"),
-                PoolSpec(name="cheap", model="8b", hardware="L4"),
+                PoolSpec(name="fast", model="8b", engine=EngineSpec(hardware="H100-80GB")),
+                PoolSpec(name="cheap", model="8b", engine=EngineSpec(hardware="L4")),
             ),
             workloads=(
                 WeightedWorkload(agent="chatbot", workload="sharegpt",
@@ -516,7 +526,7 @@ class TestFleetPlanner:
                 axes=(
                     StudyAxis(
                         name="hw",
-                        field="hardware",
+                        field="engine.hardware",
                         values=(
                             HardwareSpec(gpu="A100-40GB"),
                             HardwareSpec(gpu="H100-80GB"),

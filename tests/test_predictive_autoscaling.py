@@ -17,6 +17,7 @@ from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
     AutoscalerSpec,
+    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     WeightedWorkload,
@@ -99,7 +100,7 @@ def predictive_spec(**overrides) -> ExperimentSpec:
         ),
         measurement=MeasurementSpec(class_slos=(("chat", 16.0),)),
         arrival=ArrivalSpec(process="poisson", qps=8.0, num_requests=30, task_pool_size=8),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=0,
     )
     base.update(overrides)
@@ -416,7 +417,7 @@ class TestPredictiveServing:
             arrival=ArrivalSpec(
                 process="poisson", qps=3.0, num_requests=12, task_pool_size=8
             ),
-            max_decode_chunk=8,
+            engine=EngineSpec(max_decode_chunk=8),
             seed=7,
         )
         outcome = run_experiment(spec)

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.agents import AgentConfig
-from repro.api import ArrivalSpec, ExperimentSpec, ResultSet, run_experiment, run_sweep
+from repro.api import (
+    ArrivalSpec,
+    EngineSpec,
+    ExperimentSpec,
+    ResultSet,
+    run_experiment,
+    run_sweep,
+)
 from repro.serving import ArrivalPlan, poisson_plan, sequential_plan, uniform_plan
 from repro.sim import RandomStream
 from repro.workloads import create_workload
@@ -54,7 +61,7 @@ def small_spec(**overrides) -> ExperimentSpec:
         workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         seed=0,
     )
     defaults.update(overrides)
@@ -115,15 +122,15 @@ class TestAgentServer:
         assert high.p95_latency > low.p95_latency
 
     def test_prefix_caching_improves_hit_rate_and_latency(self):
-        cached = serve(small_spec(enable_prefix_caching=True), qps=1.0, num_requests=12)
-        uncached = serve(small_spec(enable_prefix_caching=False), qps=1.0, num_requests=12)
+        cached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=True, max_decode_chunk=8)), qps=1.0, num_requests=12)
+        uncached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=False, max_decode_chunk=8)), qps=1.0, num_requests=12)
         assert cached.serving.prefix_cache_hit_rate > 0.5
         assert uncached.serving.prefix_cache_hit_rate == 0.0
         assert cached.p95_latency <= uncached.p95_latency * 1.05
 
     def test_kv_memory_lower_with_prefix_caching(self):
-        cached = serve(small_spec(enable_prefix_caching=True), qps=0.5, num_requests=12)
-        uncached = serve(small_spec(enable_prefix_caching=False), qps=0.5, num_requests=12)
+        cached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=True, max_decode_chunk=8)), qps=0.5, num_requests=12)
+        uncached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=False, max_decode_chunk=8)), qps=0.5, num_requests=12)
         assert cached.serving.kv_average_bytes < uncached.serving.kv_average_bytes
         assert cached.serving.kv_max_bytes <= uncached.serving.kv_max_bytes
 
@@ -171,7 +178,7 @@ def characterization_spec(
     )
 
 
-class TestSingleRequestRunnerIntegration:
+class TestCharacterizationRun:
     """Single-request characterization (``single`` arrivals) end to end."""
 
     def test_runner_produces_observations_with_engine_metrics(self):
@@ -197,5 +204,7 @@ class TestSingleRequestRunnerIntegration:
         assert hotpot.gpu_breakdown().fractions["idle"] > webshop.gpu_breakdown().fractions["idle"]
 
     def test_prefix_caching_flag_reflected_in_result(self):
-        spec = characterization_spec("hotpotqa", 2, agent="cot", enable_prefix_caching=False)
+        spec = characterization_spec(
+            "hotpotqa", 2, agent="cot", engine=EngineSpec(enable_prefix_caching=False)
+        )
         assert run_experiment(spec).characterization.prefix_caching is False

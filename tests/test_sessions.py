@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ArrivalSpec, ExperimentSpec, SessionSpec, run_experiment
+from repro.api import (
+    ArrivalSpec,
+    EngineSpec,
+    ExperimentSpec,
+    SessionSpec,
+    run_experiment,
+)
 from repro.llm import EngineConfig, Prompt, SamplingParams
 from repro.llm.kvcache import KVCacheConfig
 from repro.llm.request import LLMRequest
@@ -31,7 +37,7 @@ def session_spec(**overrides) -> ExperimentSpec:
         workload="sharegpt",
         replicas=2,
         router="session-affinity",
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         arrival=ArrivalSpec(
             process="poisson",
             qps=2.0,
@@ -123,7 +129,11 @@ class TestKvCacheFraction:
 
     def test_spec_validates_fraction(self):
         with pytest.raises(ValueError, match="kv_cache_fraction"):
-            ExperimentSpec(agent="chatbot", workload="sharegpt", kv_cache_fraction=0.0)
+            ExperimentSpec(
+                agent="chatbot",
+                workload="sharegpt",
+                engine=EngineSpec(kv_cache_fraction=0.0),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +269,7 @@ class TestSessionServing:
     def test_hit_accounting_survives_preemption(self):
         outcome = run_experiment(
             session_spec(
-                kv_cache_fraction=0.01,
+                engine=EngineSpec(max_decode_chunk=8, kv_cache_fraction=0.01),
                 arrival=ArrivalSpec(
                     process="poisson",
                     qps=4.0,
@@ -320,7 +330,7 @@ class TestSessionServing:
             ),
             replicas=2,
             router="session-affinity",
-            max_decode_chunk=8,
+            engine=EngineSpec(max_decode_chunk=8),
             arrival=ArrivalSpec(
                 process="poisson", qps=2.0, num_requests=6, task_pool_size=4
             ),

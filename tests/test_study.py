@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import (
     ArrivalSpec,
+    EngineSpec,
     ExperimentSpec,
     StudyAxis,
     StudyPoint,
@@ -32,7 +33,7 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     base = dict(
         agent="chatbot",
         workload="sharegpt",
-        max_decode_chunk=8,
+        engine=EngineSpec(max_decode_chunk=8),
         arrival=ArrivalSpec(
             process="poisson", qps=2.0, num_requests=6, task_pool_size=5
         ),
