@@ -42,7 +42,7 @@ def main() -> None:
                     workload=benchmark,
                     replicas=replicas,
                     router=args.router,
-                    engine=EngineSpec(enable_prefix_caching=caching, max_decode_chunk=8),
+                    engine=EngineSpec(enable_prefix_caching=caching),
                     agent_config=AgentConfig(max_iterations=7),
                     arrival=ArrivalSpec(process="single", num_requests=args.requests),
                 )

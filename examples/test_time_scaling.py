@@ -15,7 +15,7 @@ import argparse
 
 from repro.agents import AgentConfig
 from repro.analysis import format_table
-from repro.api import ArrivalSpec, EngineSpec, ExperimentSpec, run_experiment
+from repro.api import ArrivalSpec, ExperimentSpec, run_experiment
 
 
 def main() -> None:
@@ -32,7 +32,6 @@ def main() -> None:
             agent_config=config,
             arrival=ArrivalSpec(process="single", num_requests=args.tasks),
             seed=0,
-            engine=EngineSpec(max_decode_chunk=4),
         )
         return run_experiment(spec).characterization
 

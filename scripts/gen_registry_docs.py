@@ -1,23 +1,28 @@
 #!/usr/bin/env python
-"""Autogenerate docs/REGISTRIES.md from the live policy registries.
+"""Autogenerate docs/REGISTRIES.md and docs/METRICS.md from the live code.
 
-The registry tables in prose documentation rot the moment someone
-registers a new policy; this script makes the document a *projection* of
-the code instead.  It imports every pluggable registry (agents,
-workloads, scheduler policies, router policies, admission policies,
-arrival forecasters, rate shapes), renders one table per registry --
-name, implementing class, and the first line of the class docstring --
-and writes ``docs/REGISTRIES.md``.
+The registry and metric tables in prose documentation rot the moment
+someone registers a new policy or declares a new metric; this script makes
+both documents *projections* of the code instead.
+
+* ``docs/REGISTRIES.md``: one table per pluggable registry (agents,
+  workloads, scheduler policies, router policies, admission policies,
+  arrival forecasters, rate shapes) -- name, implementing class, and the
+  first line of the class docstring -- plus the GPU catalog.
+* ``docs/METRICS.md``: one table per metric family, rendered from
+  ``repro.api.results.METRICS`` -- name, doc with unit, and the
+  ``summary()`` key -- plus the parameterised per-class and per-decile
+  forms.
 
 Modes::
 
     PYTHONPATH=src python scripts/gen_registry_docs.py           # rewrite
     PYTHONPATH=src python scripts/gen_registry_docs.py --check   # CI lane
 
-``--check`` exits non-zero (printing a unified diff) when the committed
-file does not match what the live registries would generate -- the CI
-docs lane and ``tests/test_docs.py`` both run it, so a PR that adds a
-policy without regenerating the document fails fast.
+``--check`` exits non-zero (printing a unified diff) when a committed file
+does not match what the live code would generate -- the CI docs lane and
+``tests/test_docs.py`` both run it, so a PR that adds a policy or a metric
+without regenerating the documents fails fast.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ import argparse
 import difflib
 import sys
 from pathlib import Path
-from typing import Callable, List, Mapping, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.agents.registry import AGENT_CLASSES  # noqa: E402
+from repro.api.results import METRICS, MetricDef  # noqa: E402
+from repro.api.study import _CLASS_METRIC_ATTRS  # noqa: E402
 from repro.llm.hardware import GPU_CATALOG  # noqa: E402
 from repro.llm.scheduler import SCHEDULER_POLICIES  # noqa: E402
 from repro.serving.admission import ADMISSION_POLICIES  # noqa: E402
@@ -41,6 +48,7 @@ from repro.serving.shapes import RATE_SHAPES  # noqa: E402
 from repro.workloads import available_workloads, create_workload  # noqa: E402
 
 OUTPUT_PATH = REPO_ROOT / "docs" / "REGISTRIES.md"
+METRICS_PATH = REPO_ROOT / "docs" / "METRICS.md"
 
 HEADER = """\
 # Pluggable registries
@@ -168,38 +176,245 @@ def render() -> str:
     return "".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# docs/METRICS.md
+# ---------------------------------------------------------------------------
+
+METRICS_HEADER = """\
+# Metric vocabulary
+
+> **Generated file — do not edit.**  Regenerate with
+> `PYTHONPATH=src python scripts/gen_registry_docs.py` after changing
+> `repro.api.results.METRICS`; CI (and `tests/test_docs.py`) fails when
+> this file is stale.
+
+Every metric is declared once, in the ordered table
+`repro.api.results.METRICS`: its name, a one-line doc with the unit, an
+extractor, and a predicate for when it applies.  That one table serves
+four surfaces: `ResultSet` attributes read interactively,
+`outcome.metric(name)` string resolution, `summary()`, and the study
+layer (`StudyResult.tabulate(...)`, `pareto_frontier(cost=,
+quality=)`).  A metric proven interactively drops straight into a study
+query unchanged.  Names outside the table raise `ValueError` listing the
+known names (a typo must fail loudly, not render as an empty column);
+metrics legitimately absent on an outcome — a class it never served,
+telemetry a feature never produced — resolve to `None` where the caller
+passes `missing_ok`.  The tables below list every entry in table order;
+the `summary()` column gives the key the entry is reported under, or
+`--` for metrics that stay attributes and metric names only.
+
+See [SPECS.md](SPECS.md) for the fields that switch each metric family
+on, and [ARCHITECTURE.md](ARCHITECTURE.md) for where the numbers are
+measured.
+"""
+
+METRICS_FOOTER = """
+## Reporting helpers
+
+`summary()` returns a flat dict: `kind`, then every metric whose
+predicate applies to the run, in table order, under the keys above.
+The core block is always there; serving runs add the fleet, cost and
+`rejection_rate` entries; the SLO, forecast, tenant, session,
+chunked-prefill and speculation entries appear only when those features
+ran.  `StudyResult.format(title, metrics)` renders one row per grid
+point; `metrics` entries are `(column_name, metric)` pairs where
+`metric` is any name above or a callable on the point's `ResultSet`.
+"""
+
+#: Meaning of each per-class form ``class_<stat>:<label>``; its keys must be
+#: exactly the forms ``repro.api.study`` resolves.
+CLASS_FORMS = {
+    "class_p95": "class p95 latency (s)",
+    "class_mean": "class mean latency (s)",
+    "class_throughput": "class completed requests per simulated second (req/s)",
+    "class_attainment": "fraction of the class meeting its SLO",
+    "class_rejection": "class door-rejection fraction",
+    "class_completed": "class completed requests (count)",
+}
+
+
+class MetricSection(NamedTuple):
+    """One ``## title`` section of METRICS.md.
+
+    ``first`` names the METRICS entry that opens the section: it and every
+    following entry up to the next section's ``first`` fill its table
+    (``None`` = a section of parameterised ``forms`` only).  ``intro`` and
+    ``outro`` are prose around the table.
+    """
+
+    title: str
+    first: Optional[str]
+    intro: str = ""
+    outro: str = ""
+    forms: Tuple[Tuple[str, str], ...] = ()
+
+
+METRIC_SECTIONS: Tuple[MetricSection, ...] = (
+    MetricSection("Core (every run)", "num_requests"),
+    MetricSection(
+        "Fleet, hardware cost and energy (serving runs)",
+        "replica_seconds",
+        intro=(
+            "Every pool is priced by its hardware's replica-hour rate (GPU\n"
+            "catalog price × tensor-parallel degree) over the replica-seconds\n"
+            "it was provisioned, so heterogeneous fleets report real dollars.\n"
+        ),
+        outro=(
+            "Per-pool detail: `per_pool_summary()` (one row per pool, with\n"
+            "`PoolStats.gpu`, `PoolStats.cost_per_hour` and `PoolStats.cost_usd`).\n"
+            "Example: `pareto_frontier(cost=\"cost_per_1k_tokens\",\n"
+            "quality=\"class_attainment:chat\", minimize_quality=False)` — the\n"
+            "hardware-planning question `FleetPlanner` answers (see\n"
+            "`examples/hetero_fleet.py`).\n"
+        ),
+    ),
+    MetricSection(
+        "Per traffic class",
+        None,
+        intro="The form `class_<stat>:<label>` reads one class of the workload mixture.\n",
+        outro=(
+            "Example: `pareto_frontier(cost=\"replica_seconds\",\n"
+            "quality=\"class_p95:chat\")` — the fleet-sizing question.\n"
+        ),
+        forms=tuple((f"{form}:<label>", CLASS_FORMS[form]) for form in CLASS_FORMS),
+    ),
+    MetricSection(
+        "Admission and SLO (serving runs)",
+        "num_rejected",
+        outro=(
+            "Per-class door accounting: `per_class_admission()` /\n"
+            "`admission_stats` (offered, admitted, delayed, rejected per class).\n"
+        ),
+    ),
+    MetricSection("Predictive autoscaling", "forecast_mae"),
+    MetricSection(
+        "Multi-tenant fairness (tenanted runs)",
+        "served_token_ratio",
+        forms=(
+            (
+                "tenant_throttle_decile:<0-9>",
+                "throttle rate of one population decile (0 = hottest users)",
+            ),
+        ),
+    ),
+    MetricSection(
+        "Multi-turn sessions (sessionful runs)",
+        "num_sessions",
+        outro=(
+            "Cross-turn figures cover turns ≥ 2 only: a session's first turn has\n"
+            "no conversation prefix to reuse, so counting it would dilute the\n"
+            "reuse signal.  Example: `pareto_frontier(cost=\"p95_latency\",\n"
+            "quality=\"cross_turn_hit_rate\", minimize_quality=False)` — which\n"
+            "router buys conversation reuse, and what does it pay in tail\n"
+            "latency? (`examples/sessions.py`).\n"
+        ),
+    ),
+    MetricSection(
+        "Engine fidelity (chunked prefill / speculative decoding)",
+        "prefill_hol_block_s",
+        outro=(
+            "`prefill_hol_block_s` is whole-run telemetry metered on the engines\n"
+            "(like preemption counts) and is 0 with chunked prefill on — that is\n"
+            "the point; `mean_accepted_per_step` converges to\n"
+            "`SpeculativeSpec.expected_tokens_per_step() - 1`; `draft_energy_j` is\n"
+            "windowed like the other energy metrics.  Example:\n"
+            "`pareto_frontier(cost=\"energy_wh_per_query\", quality=\"class_p95:chat\")`\n"
+            "— which engine features are worth their energy bill?\n"
+            "(`examples/engine_fidelity.py`).\n"
+        ),
+    ),
+)
+
+
+def _summary_cell(metric: MetricDef) -> str:
+    if metric.summary_key is None:
+        return "--"
+    return f"`{metric.summary_key or metric.name}`"
+
+
+def _section_metrics() -> Mapping[str, List[MetricDef]]:
+    """Each section's METRICS entries, split at the sections' ``first`` names."""
+    opening = {section.first: section.title for section in METRIC_SECTIONS if section.first}
+    unknown = set(opening) - {metric.name for metric in METRICS}
+    if unknown or METRICS[0].name not in opening:
+        raise ValueError(
+            f"METRIC_SECTIONS must open at METRICS names, starting with "
+            f"{METRICS[0].name!r}; unknown: {sorted(unknown)}"
+        )
+    grouped: dict = {section.title: [] for section in METRIC_SECTIONS}
+    title = ""
+    for metric in METRICS:
+        title = opening.get(metric.name, title)
+        grouped[title].append(metric)
+    return grouped
+
+
+def render_metrics() -> str:
+    """The full METRICS.md content the live metric table implies."""
+    if set(CLASS_FORMS) != set(_CLASS_METRIC_ATTRS):
+        raise ValueError(
+            f"CLASS_FORMS {sorted(CLASS_FORMS)} out of step with the resolvable "
+            f"class forms {sorted(_CLASS_METRIC_ATTRS)}"
+        )
+    grouped = _section_metrics()
+    parts: List[str] = [METRICS_HEADER]
+    for section in METRIC_SECTIONS:
+        parts.append(f"\n## {section.title}\n\n")
+        if section.intro:
+            parts.append(f"{section.intro}\n")
+        parts.append("| name | meaning | `summary()` |\n| --- | --- | --- |\n")
+        for metric in grouped[section.title]:
+            parts.append(f"| `{metric.name}` | {metric.doc} | {_summary_cell(metric)} |\n")
+        for form, meaning in section.forms:
+            parts.append(f"| `{form}` | {meaning} | -- |\n")
+        if section.outro:
+            parts.append(f"\n{section.outro}")
+    parts.append(METRICS_FOOTER)
+    return "".join(parts)
+
+
+#: Every generated document, with the function rendering it.
+DOCUMENTS: Tuple[Tuple[Path, Callable[[], str]], ...] = (
+    (OUTPUT_PATH, render),
+    (METRICS_PATH, render_metrics),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check",
         action="store_true",
-        help="verify the committed file matches the registries (exit 1 when stale)",
+        help="verify the committed files match the live code (exit 1 when stale)",
     )
     options = parser.parse_args(argv)
 
-    content = render()
-    if options.check:
-        on_disk = OUTPUT_PATH.read_text() if OUTPUT_PATH.exists() else ""
+    stale = 0
+    for path, render_document in DOCUMENTS:
+        content = render_document()
+        name = path.relative_to(REPO_ROOT)
+        if not options.check:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content)
+            print(f"wrote {name}")
+            continue
+        on_disk = path.read_text() if path.exists() else ""
         if on_disk == content:
-            print(f"{OUTPUT_PATH.relative_to(REPO_ROOT)} is up to date")
-            return 0
+            print(f"{name} is up to date")
+            continue
+        stale += 1
         diff = difflib.unified_diff(
             on_disk.splitlines(keepends=True),
             content.splitlines(keepends=True),
-            fromfile="docs/REGISTRIES.md (committed)",
-            tofile="docs/REGISTRIES.md (generated)",
+            fromfile=f"{name} (committed)",
+            tofile=f"{name} (generated)",
         )
         sys.stderr.write("".join(diff))
         sys.stderr.write(
-            "\ndocs/REGISTRIES.md is stale; regenerate with:\n"
+            f"\n{name} is stale; regenerate with:\n"
             "    PYTHONPATH=src python scripts/gen_registry_docs.py\n"
         )
-        return 1
-
-    OUTPUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    OUTPUT_PATH.write_text(content)
-    print(f"wrote {OUTPUT_PATH.relative_to(REPO_ROOT)}")
-    return 0
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

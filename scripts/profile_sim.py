@@ -74,7 +74,7 @@ def main() -> int:
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()
-    result = table3(models=("8b", "70b"), num_tasks=args.tasks, seed=0, max_decode_chunk=1)
+    result = table3(models=("8b", "70b"), num_tasks=args.tasks, seed=0)
     table4(result)
     profiler.disable()
     elapsed = time.perf_counter() - started

@@ -27,7 +27,6 @@ from repro.analysis.reporting import format_table
 from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
-    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     ResultSet,
@@ -186,7 +185,6 @@ def admission_study(
         measurement=MeasurementSpec(
             class_slos=(("chat", chat_slo_s),), warmup_requests=warmup_requests
         ),
-        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     outcomes: Dict[str, ResultSet] = {}

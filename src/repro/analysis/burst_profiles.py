@@ -29,7 +29,6 @@ from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
     AutoscalerSpec,
-    EngineSpec,
     ExperimentSpec,
     StudyAxis,
     StudyResult,
@@ -191,7 +190,6 @@ def burst_profile_study(
             forecaster_alpha=0.6,
             forecaster_beta=0.4,
         ),
-        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     study = StudySpec(

@@ -62,17 +62,13 @@ def characterize(
     seed: int = 0,
     config: Optional[AgentConfig] = None,
     enable_prefix_caching: bool = True,
-    max_decode_chunk: int = 1,
 ) -> CharacterizationResult:
     """Run ``agent`` on ``benchmark`` one request at a time (paper IV-A/IV-B)."""
     spec = ExperimentSpec(
         agent=agent,
         workload=benchmark,
         model=model,
-        engine=EngineSpec(
-            enable_prefix_caching=enable_prefix_caching,
-            max_decode_chunk=max_decode_chunk,
-        ),
+        engine=EngineSpec(enable_prefix_caching=enable_prefix_caching),
         agent_config=config or AgentConfig(),
         arrival=ArrivalSpec(process="single", num_requests=num_tasks),
         seed=seed,
@@ -460,7 +456,7 @@ def figure11(
                 model=model,
                 replicas=replicas,
                 router=router,
-                engine=EngineSpec(enable_prefix_caching=caching, max_decode_chunk=4),
+                engine=EngineSpec(enable_prefix_caching=caching),
                 agent_config=default_config(benchmark) if benchmark != "sharegpt" else AgentConfig(),
                 arrival=ArrivalSpec(process="single", num_requests=num_requests),
                 seed=seed,
@@ -515,7 +511,7 @@ def figure12(
                 agent="react",
                 workload=benchmark,
                 model=model,
-                engine=EngineSpec(enable_prefix_caching=caching, max_decode_chunk=4),
+                engine=EngineSpec(enable_prefix_caching=caching),
                 agent_config=default_config(benchmark),
                 arrival=ArrivalSpec(process="poisson", qps=qps, num_requests=num_requests),
                 seed=seed,
@@ -956,7 +952,6 @@ def mixed_fleet(
             process="poisson", qps=qps, num_requests=num_requests, task_pool_size=12
         ),
         agent_config=AgentConfig(max_iterations=5),
-        engine=EngineSpec(max_decode_chunk=8),
         predictor_error=predictor_error,
         seed=seed,
     )

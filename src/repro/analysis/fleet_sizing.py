@@ -27,7 +27,6 @@ from repro.agents import AgentConfig
 from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
-    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     ParetoPoint,
@@ -156,7 +155,6 @@ def fleet_sizing_study(
             task_pool_size=task_pool_size,
         ),
         measurement=MeasurementSpec(class_slos=(("chat", chat_slo_s),)),
-        engine=EngineSpec(max_decode_chunk=8),
         seed=seed,
     )
     study = StudySpec(

@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.reporting import format_table
 from repro.api import (
     ArrivalSpec,
-    EngineSpec,
     ExperimentSpec,
     ParetoPoint,
     SessionSpec,
@@ -191,7 +190,6 @@ def sessions_study(
                 think_time_s=think_time_s,
             ),
         ),
-        engine=EngineSpec(max_decode_chunk=4),
         seed=seed,
     )
     study = StudySpec(

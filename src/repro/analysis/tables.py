@@ -135,15 +135,13 @@ def table3(
     num_tasks: int = 6,
     seed: int = 0,
     agent_configs: Optional[Dict[str, AgentConfig]] = None,
-    max_decode_chunk: int = 4,
 ) -> Table3Result:
     """Reproduce Table III: ShareGPT vs Reflexion vs LATS on HotpotQA."""
     agent_configs = agent_configs or TABLE3_AGENT_CONFIGS
     result = Table3Result()
     for model in models:
         baseline = characterize(
-            "chatbot", "sharegpt", max(num_tasks, 10), model=model, seed=seed,
-            max_decode_chunk=max_decode_chunk,
+            "chatbot", "sharegpt", max(num_tasks, 10), model=model, seed=seed
         )
         base_latency = baseline.mean_latency
         base_energy = baseline.mean_energy_wh
@@ -160,8 +158,7 @@ def table3(
         )
         for agent, config in agent_configs.items():
             run = characterize(
-                agent, "hotpotqa", num_tasks, model=model, seed=seed, config=config,
-                max_decode_chunk=max_decode_chunk,
+                agent, "hotpotqa", num_tasks, model=model, seed=seed, config=config
             )
             result.rows_data.append(
                 Table3Row(

@@ -11,7 +11,8 @@ Every metric is declared once, in :data:`METRICS`: its name, a one-line
 doc with the unit, an extractor, and a predicate for when it applies.
 ``ResultSet`` attributes (``outcome.p95_latency``), :meth:`ResultSet.metric`,
 :meth:`ResultSet.summary` and the study layer's metric names all read that
-table, and ``docs/METRICS.md`` documents it entry for entry.
+table, and ``scripts/gen_registry_docs.py`` renders ``docs/METRICS.md``
+from it.
 """
 
 from __future__ import annotations

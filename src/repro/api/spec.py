@@ -383,15 +383,12 @@ class EngineSpec:
     """
 
     enable_prefix_caching: Optional[bool] = None
-    max_decode_chunk: Optional[int] = None
     kv_cache_fraction: Optional[float] = None
     prefill_chunk_tokens: Optional[int] = None
     speculative: Optional[SpeculativeSpec] = None
     hardware: Optional[HardwareSpec] = None
 
     def __post_init__(self) -> None:
-        if self.max_decode_chunk is not None and self.max_decode_chunk < 1:
-            raise ValueError("max_decode_chunk must be >= 1 (or None)")
         if self.kv_cache_fraction is not None and not 0 < self.kv_cache_fraction <= 1:
             raise ValueError("kv_cache_fraction must be in (0, 1] (or None)")
         if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
@@ -415,16 +412,6 @@ class EngineSpec:
             raise ValueError(
                 f"hardware must be a HardwareSpec (or a catalog GPU name / "
                 f"dict form), got {self.hardware!r}"
-            )
-        if (self.max_decode_chunk or 1) > 1 and (
-            self.prefill_chunk_tokens is not None or self.speculative is not None
-        ):
-            # Same incoherence EngineConfig.__post_init__ rejects, caught at
-            # spec construction instead of mid-run.
-            raise ValueError(
-                "prefill_chunk_tokens / speculative are incompatible with "
-                "max_decode_chunk > 1 (approximate decode chunking); "
-                "use decode_fast_forward for speed instead"
             )
 
     def overrides(self) -> Dict[str, Any]:
@@ -799,7 +786,7 @@ class ExperimentSpec:
                 )
 
     def _validate_engines(self) -> None:
-        """Every merged engine is coherent and its hardware fits its model."""
+        """Every merged engine's hardware fits its model."""
         object.__setattr__(self, "engine", _as_engine(self.engine))
         for pool in (None, *self.pools):
             try:

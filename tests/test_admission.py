@@ -13,7 +13,6 @@ from repro.agents import AgentConfig
 from repro.api import (
     AdmissionSpec,
     ArrivalSpec,
-    EngineSpec,
     ExperimentSpec,
     MeasurementSpec,
     WeightedWorkload,
@@ -37,7 +36,6 @@ def agent_spec(**overrides) -> ExperimentSpec:
         workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
-        engine=EngineSpec(max_decode_chunk=8),
         seed=0,
         arrival=ArrivalSpec(process="poisson", qps=3.0, num_requests=10, task_pool_size=8),
     )
@@ -52,7 +50,6 @@ MIXTURE = dict(
     ),
     agent_config=AgentConfig(max_iterations=5),
     arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=16, task_pool_size=8),
-    engine=EngineSpec(max_decode_chunk=8),
     seed=0,
 )
 
@@ -143,7 +140,6 @@ class TestTokenBucketRefill:
         spec = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            engine=EngineSpec(max_decode_chunk=8),
             arrival=ArrivalSpec(
                 process="uniform", qps=8.0, num_requests=4, task_pool_size=4
             ),
@@ -387,7 +383,6 @@ class TestWarmupValidation:
         spec = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            engine=EngineSpec(max_decode_chunk=8),
             arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=9),
             measurement=MeasurementSpec(warmup_requests=3),
         )
@@ -405,7 +400,6 @@ class TestWarmupValidation:
         spec = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            engine=EngineSpec(max_decode_chunk=8),
             arrival=ArrivalSpec(process="single", num_requests=10),
             measurement=MeasurementSpec(warmup_requests=5),
         )
@@ -419,7 +413,6 @@ class TestWarmupValidation:
         base = ExperimentSpec(
             agent="chatbot",
             workload="sharegpt",
-            engine=EngineSpec(max_decode_chunk=8),
             arrival=ArrivalSpec(process="single", num_requests=5),
         )
         full = run_experiment(base)

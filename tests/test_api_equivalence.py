@@ -60,16 +60,12 @@ class TestServingGolden:
     """react/hotpotqa served at 1 qps: 10 Poisson requests, pool 8, seed 0."""
 
     GOLDEN = {
-        "mean_latency": 10.870826106902523,
-        "p95_latency": 15.505812430261916,
-        "energy_wh": 1.55705991896767,
-        "throughput_qps": 0.43405991885767026,
-        "duration": 23.038293944111054,
-        # Chunked decode now reserves KV blocks for the whole chunk up front
-        # (it previously appended chunk tokens against a one-token
-        # reservation), so active-block accounting is higher than the
-        # original seed value of 143263924.27464935.
-        "kv_average_bytes": 145131482.13128176,
+        "mean_latency": 10.646407395255261,
+        "p95_latency": 15.151794256321168,
+        "energy_wh": 1.530517725786379,
+        "throughput_qps": 0.43800395819435634,
+        "duration": 22.83084390658105,
+        "kv_average_bytes": 153650818.11970353,
         "preemptions": 0,
         "prefix_cache_hit_rate": 0.9135721327637201,
     }
@@ -84,7 +80,6 @@ class TestServingGolden:
             agent_config=AgentConfig(max_iterations=5),
             arrival=ArrivalSpec(process="poisson", qps=1.0, num_requests=10, task_pool_size=8),
             seed=0,
-            engine=EngineSpec(max_decode_chunk=8),
         )
 
     def test_spec_through_new_api_matches_seed(self):
@@ -98,14 +93,13 @@ class TestServingGolden:
             workload="sharegpt",
             model="8b",
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=12, task_pool_size=8),
-            engine=EngineSpec(max_decode_chunk=8),
             seed=3,
         )
         result = run_experiment(spec)
-        assert result.mean_latency == 5.165153545879206
-        assert result.p95_latency == 9.76467261074811
-        assert result.energy_wh == 1.0307809818002893
-        assert result.throughput_qps == 0.8750023061426455
+        assert result.mean_latency == 5.129143362404462
+        assert result.p95_latency == 9.723356564694797
+        assert result.energy_wh == 1.028324972396009
+        assert result.throughput_qps == 0.8776463353494244
 
 
 class TestTrafficProgramCompat:
@@ -123,7 +117,6 @@ class TestTrafficProgramCompat:
                 process="poisson", qps=1.0, num_requests=10, task_pool_size=8
             ),
             seed=0,
-            engine=EngineSpec(max_decode_chunk=8),
         )
         base.update(overrides)
         return ExperimentSpec(**base)
@@ -186,7 +179,6 @@ class TestResultSetInterface:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=5, task_pool_size=5),
-            engine=EngineSpec(max_decode_chunk=8),
         )
         outcome = run_experiment(spec)
         summary = outcome.summary()
@@ -200,7 +192,6 @@ class TestResultSetInterface:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="sequential", num_requests=3),
-            engine=EngineSpec(max_decode_chunk=8),
         )
         outcome = run_experiment(spec)
         assert outcome.serving.offered_qps == 0.0
@@ -211,7 +202,6 @@ class TestResultSetInterface:
         arrival = ArrivalSpec(process="poisson", qps=2.0, num_requests=6, task_pool_size=5)
         base = ExperimentSpec(
             agent="chatbot", workload="sharegpt", arrival=arrival,
-            engine=EngineSpec(max_decode_chunk=8),
         )
         full = run_experiment(base)
         from repro.api import MeasurementSpec
@@ -226,7 +216,6 @@ class TestResultSetInterface:
                 agent="chatbot",
                 workload="sharegpt",
                 arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=3, task_pool_size=3),
-                engine=EngineSpec(max_decode_chunk=8),
             )
         )
 

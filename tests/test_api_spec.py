@@ -140,7 +140,7 @@ class TestSpecRoundTrip:
             replicas=3,
             scheduler="sjf-by-predicted-decode",
             router="prefix-affinity",
-            engine=EngineSpec(enable_prefix_caching=False, max_decode_chunk=8),
+            engine=EngineSpec(enable_prefix_caching=False),
             agent_config=AgentConfig(max_iterations=4, num_children=2),
             arrival=ArrivalSpec(process="poisson", qps=1.5, num_requests=9, task_pool_size=5),
             measurement=MeasurementSpec(warmup_requests=2),

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from repro.api import ArrivalSpec, EngineSpec, ExperimentSpec, run_experiment, run_sweep
+from repro.api import ArrivalSpec, ExperimentSpec, run_experiment, run_sweep
 from repro.llm import (
     EngineConfig,
     Prompt,
@@ -120,7 +120,6 @@ class TestSchedulerPolicies:
                 workload="sharegpt",
                 scheduler=policy,
                 arrival=ArrivalSpec(process="poisson", qps=2.0, num_requests=4, task_pool_size=4),
-                engine=EngineSpec(max_decode_chunk=8),
             )
             outcome = run_experiment(spec)
             assert outcome.num_completed == 4, policy
@@ -195,7 +194,6 @@ class TestRouterPolicies:
             router="round-robin",
             arrival=ArrivalSpec(process="poisson", qps=3.0, num_requests=9, task_pool_size=6),
             seed=11,
-            engine=EngineSpec(max_decode_chunk=8),
         )
         first = run_experiment(spec)
         second = run_experiment(spec)
@@ -220,7 +218,6 @@ class TestClusterAggregation:
             workload="sharegpt",
             replicas=2,
             arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=8, task_pool_size=6),
-            engine=EngineSpec(max_decode_chunk=8),
         )
         result = run_experiment(spec).serving
         assert result.num_replicas == 2

@@ -51,7 +51,6 @@ TOKENIZER = SyntheticTokenizer()
 #: EngineSpec knob -> the EngineConfig field it sets.
 ENGINE_CONFIG_KNOBS = {
     "enable_prefix_caching": "enable_prefix_caching",
-    "max_decode_chunk": "max_decode_chunk",
     "kv_cache_fraction": "kv_cache_fraction",
     "prefill_chunk_tokens": "prefill_chunk_tokens",
     "speculative": "speculative",
@@ -61,7 +60,6 @@ ENGINE_CONFIG_KNOBS = {
 #: (knob, experiment-wide value, pool override); None leaves the knob unset.
 POOL_OVERRIDE_CASES = [
     ("enable_prefix_caching", True, False),  # a falsy override still wins
-    ("max_decode_chunk", 2, 4),
     ("kv_cache_fraction", 0.5, None),  # the pool inherits
     ("prefill_chunk_tokens", 512, 128),
     ("speculative", None, SpeculativeSpec()),
@@ -359,37 +357,7 @@ class TestEngineFidelityStudy:
 class TestConfigAndPlumbing:
     def test_engine_config_rejects_decode_chunk_combos(self):
         with pytest.raises(ValueError):
-            EngineConfig(max_decode_chunk=8, prefill_chunk_tokens=64)
-        with pytest.raises(ValueError):
-            EngineConfig(max_decode_chunk=8, speculative=SpeculativeSpec())
-        with pytest.raises(ValueError):
             EngineConfig(prefill_chunk_tokens=0)
-
-    def test_experiment_spec_rejects_decode_chunk_combos(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(engine=EngineSpec(max_decode_chunk=4, prefill_chunk_tokens=256))
-        with pytest.raises(ValueError):
-            ExperimentSpec(engine=EngineSpec(max_decode_chunk=4, speculative=SpeculativeSpec()))
-
-    def test_pool_merge_conflicts_fail_at_construction(self):
-        # Each half is coherent; only the merged pool engine is not.
-        arrival = ArrivalSpec(process="poisson", qps=1.0, num_requests=3)
-        with pytest.raises(ValueError, match="pool 'a'.*max_decode_chunk > 1"):
-            ExperimentSpec(
-                agent="chatbot",
-                workload="sharegpt",
-                engine=EngineSpec(prefill_chunk_tokens=128),
-                pools=(PoolSpec(name="a", engine=EngineSpec(max_decode_chunk=4)),),
-                arrival=arrival,
-            )
-        with pytest.raises(ValueError, match="pool 'b'.*max_decode_chunk > 1"):
-            ExperimentSpec(
-                agent="chatbot",
-                workload="sharegpt",
-                engine=EngineSpec(max_decode_chunk=4),
-                pools=(PoolSpec(name="b", engine=EngineSpec(speculative=SpeculativeSpec())),),
-                arrival=arrival,
-            )
 
     def test_spec_round_trips_through_dict(self):
         spec = ExperimentSpec(

@@ -306,7 +306,6 @@ def small_serving_spec(**overrides) -> ExperimentSpec:
         workload="sharegpt",
         arrival=ArrivalSpec(process="poisson", qps=4.0, num_requests=10,
                             task_pool_size=6),
-        engine=EngineSpec(max_decode_chunk=8),
         seed=0,
     )
     base.update(overrides)
@@ -318,7 +317,7 @@ class TestGoldenPin:
         default_run = run_experiment(small_serving_spec())
         pinned_run = run_experiment(
             small_serving_spec(engine=EngineSpec(
-                max_decode_chunk=8, hardware=HardwareSpec(gpu="A100-40GB")))
+                hardware=HardwareSpec(gpu="A100-40GB")))
         )
         assert pinned_run.latencies == default_run.latencies
         assert pinned_run.summary() == default_run.summary()
@@ -345,7 +344,7 @@ class TestGoldenPin:
         default_run = run_experiment(small_serving_spec())
         h100_run = run_experiment(
             small_serving_spec(engine=EngineSpec(
-                max_decode_chunk=8, hardware=HardwareSpec(gpu="H100-80GB")))
+                hardware=HardwareSpec(gpu="H100-80GB")))
         )
         assert h100_run.latencies != default_run.latencies
         assert h100_run.mean_latency < default_run.mean_latency

@@ -61,7 +61,6 @@ def small_spec(**overrides) -> ExperimentSpec:
         workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
-        engine=EngineSpec(max_decode_chunk=8),
         seed=0,
     )
     defaults.update(overrides)
@@ -122,15 +121,15 @@ class TestAgentServer:
         assert high.p95_latency > low.p95_latency
 
     def test_prefix_caching_improves_hit_rate_and_latency(self):
-        cached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=True, max_decode_chunk=8)), qps=1.0, num_requests=12)
-        uncached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=False, max_decode_chunk=8)), qps=1.0, num_requests=12)
+        cached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=True)), qps=1.0, num_requests=12)
+        uncached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=False)), qps=1.0, num_requests=12)
         assert cached.serving.prefix_cache_hit_rate > 0.5
         assert uncached.serving.prefix_cache_hit_rate == 0.0
         assert cached.p95_latency <= uncached.p95_latency * 1.05
 
     def test_kv_memory_lower_with_prefix_caching(self):
-        cached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=True, max_decode_chunk=8)), qps=0.5, num_requests=12)
-        uncached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=False, max_decode_chunk=8)), qps=0.5, num_requests=12)
+        cached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=True)), qps=0.5, num_requests=12)
+        uncached = serve(small_spec(engine=EngineSpec(enable_prefix_caching=False)), qps=0.5, num_requests=12)
         assert cached.serving.kv_average_bytes < uncached.serving.kv_average_bytes
         assert cached.serving.kv_max_bytes <= uncached.serving.kv_max_bytes
 

@@ -7,7 +7,6 @@ import pytest
 from repro.agents import AgentConfig
 from repro.api import (
     ArrivalSpec,
-    EngineSpec,
     ExperimentSpec,
     ResultSet,
     StudyPoint,
@@ -25,7 +24,6 @@ def agent_spec(**overrides) -> ExperimentSpec:
         workload="hotpotqa",
         model="8b",
         agent_config=AgentConfig(max_iterations=5),
-        engine=EngineSpec(max_decode_chunk=8),
         seed=0,
     )
     defaults.update(overrides)
@@ -62,7 +60,6 @@ class TestMaxConcurrencyEnforcement:
             agent="chatbot",
             workload="sharegpt",
             arrival=ArrivalSpec(process="sequential", num_requests=1),
-            engine=EngineSpec(max_decode_chunk=8),
             max_concurrency=1,
         )
         system = SystemBuilder(spec).build()
@@ -123,7 +120,6 @@ class TestPeakThroughputHardening:
         arrival = ArrivalSpec(process="poisson", qps=2.0, num_requests=8, task_pool_size=6)
         base = ExperimentSpec(
             agent="chatbot", workload="sharegpt", arrival=arrival,
-            engine=EngineSpec(max_decode_chunk=8),
         )
         full = run_experiment(base)
         warm = run_experiment(
@@ -145,7 +141,6 @@ class TestPeakThroughputHardening:
             workload="sharegpt",
             measurement=MeasurementSpec(warmup_requests=2),
             arrival=ArrivalSpec(process="single", num_requests=8, task_pool_size=6),
-            engine=EngineSpec(max_decode_chunk=8),
         )
         sweep = run_sweep(spec, (1.0, 2.0))
         # Warm-up trimming shrinks both completions and the issued count, so
@@ -177,7 +172,6 @@ class TestReplicaScaling:
             model="8b",
             arrival=ArrivalSpec(process="single", num_requests=40, task_pool_size=10),
             seed=0,
-            engine=EngineSpec(max_decode_chunk=8),
         )
 
     @classmethod

@@ -37,7 +37,6 @@ def session_spec(**overrides) -> ExperimentSpec:
         workload="sharegpt",
         replicas=2,
         router="session-affinity",
-        engine=EngineSpec(max_decode_chunk=8),
         arrival=ArrivalSpec(
             process="poisson",
             qps=2.0,
@@ -269,7 +268,7 @@ class TestSessionServing:
     def test_hit_accounting_survives_preemption(self):
         outcome = run_experiment(
             session_spec(
-                engine=EngineSpec(max_decode_chunk=8, kv_cache_fraction=0.01),
+                engine=EngineSpec(kv_cache_fraction=0.01),
                 arrival=ArrivalSpec(
                     process="poisson",
                     qps=4.0,
@@ -330,7 +329,6 @@ class TestSessionServing:
             ),
             replicas=2,
             router="session-affinity",
-            engine=EngineSpec(max_decode_chunk=8),
             arrival=ArrivalSpec(
                 process="poisson", qps=2.0, num_requests=6, task_pool_size=4
             ),

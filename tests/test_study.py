@@ -14,7 +14,6 @@ import pytest
 
 from repro.api import (
     ArrivalSpec,
-    EngineSpec,
     ExperimentSpec,
     StudyAxis,
     StudyPoint,
@@ -33,7 +32,6 @@ def tiny_spec(**overrides) -> ExperimentSpec:
     base = dict(
         agent="chatbot",
         workload="sharegpt",
-        engine=EngineSpec(max_decode_chunk=8),
         arrival=ArrivalSpec(
             process="poisson", qps=2.0, num_requests=6, task_pool_size=5
         ),

@@ -462,7 +462,7 @@ class TestTenantedExperiments:
     """End-to-end: TenantSpec through the spec/builder/runner stack."""
 
     def _spec(self, **overrides):
-        from repro.api.spec import AdmissionSpec, ArrivalSpec, EngineSpec, ExperimentSpec
+        from repro.api.spec import AdmissionSpec, ArrivalSpec, ExperimentSpec
 
         kwargs = dict(
             agent="chatbot",
@@ -473,7 +473,6 @@ class TestTenantedExperiments:
                 process="poisson", qps=4.0, num_requests=10, task_pool_size=6,
                 tenants=TenantSpec(num_users=1_000_000, skew=1.5, num_apps=20),
             ),
-            engine=EngineSpec(max_decode_chunk=8),
         )
         kwargs.update(overrides)
         return ExperimentSpec(**kwargs)
